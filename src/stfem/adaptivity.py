@@ -106,7 +106,8 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
                   lcfg: LinearSolverConfig = None,
                   callback=None) -> AdaptiveResult:
     """Run the adaptive (or uniform) refinement loop until the dof budget or
-    level cap is reached.  Solver failures are recorded and the loop proceeds.
+    level cap is reached.  Solver failures are recorded and the loop proceeds;
+    the result is converged only if every Newton and adjoint solve was.
     """
     cfg = cfg or AdaptiveConfig()
     ncfg = ncfg or NewtonConfig()
@@ -154,7 +155,8 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
                                       ncfg, lcfg, order)
             z2, z2res = solve_adjoint(space2, u2, goal, prob, lcfg, order)
             rec.inner_iters += stats2.total_inner_iters + z2res.iters
-            all_ok = all_ok and stats2.converged
+            all_ok = all_ok and stats2.converged \
+                and zres.converged and z2res.converged
             bd = estimate(prob, goal, u, z, u2, z2, order)
             rec.eta_h_p, rec.eta_h_a = bd.eta_h_p, bd.eta_h_a
             rec.eta_h, rec.eta_k = bd.eta_h, bd.eta_k

@@ -51,11 +51,7 @@ def _state(space: FeSpace, u: FeFunction, prob: ProblemDefinition, order: int):
         raise ValueError("problem and space dimensions do not match")
     b = space.batch(order)
     _vals, grads = u.at_quadrature(order)
-    gx = grads[..., :-1]
-    ut = grads[..., -1]
-    pts = b["points"]
-    f = np.asarray(prob.source(pts.reshape(-1, pts.shape[-1]))).reshape(ut.shape)
-    return b, gx, ut, f
+    return b, grads[..., :-1], grads[..., -1]
 
 
 def residual_element_vectors(space: FeSpace, u: FeFunction,
@@ -67,7 +63,8 @@ def residual_element_vectors(space: FeSpace, u: FeFunction,
     """
     if order is None:
         order = space.default_order()
-    b, gx, ut, f = _state(space, u, prob, order)
+    b, gx, ut = _state(space, u, prob, order)
+    f = space.source_values(prob.source, order)
     q = flux(gx, prob.p, prob.eps)
     scale = b["scale"]
     phi = b["values"]
@@ -97,6 +94,12 @@ def _scatter_matrix(space: FeSpace, k_loc: np.ndarray) -> sp.csr_matrix:
     return K.tocsr()
 
 
+def _time_matrices(b: dict) -> np.ndarray:
+    """Element matrices of int_e (dw/dt) v, shape (n_elements, n_local, n_local)."""
+    weighted = b["scale"][..., None] * b["values"]  # (ne, nq, nloc)
+    return np.swapaxes(weighted, 1, 2) @ b["grads"][..., -1]
+
+
 def apply_dirichlet(K: sp.csr_matrix, space: FeSpace) -> sp.csr_matrix:
     """Zero constrained rows and columns and put ones on their diagonal."""
     m = space.free.astype(float)
@@ -110,14 +113,20 @@ def assemble_jacobian(space: FeSpace, u: FeFunction, prob: ProblemDefinition,
     """Newton Jacobian: time matrix plus linearized diffusion at u."""
     if order is None:
         order = space.default_order()
-    b, gx, _ut, _f = _state(space, u, prob, order)
+    b, gx, _ut = _state(space, u, prob, order)
     A = flux_jacobian(gx, prob.p, prob.eps)
-    scale = b["scale"]
-    phi = b["values"]
-    gphi_x = b["grads"][..., :-1]
-    dtphi = b["grads"][..., -1]
-    k_loc = np.einsum("eq,qa,eqb->eab", scale, phi, dtphi)
-    k_loc += np.einsum("eq,eqij,eqbj,eqai->eab", scale, A, gphi_x, gphi_x)
+    A *= b["scale"][..., None, None]
+    gphi = b["grads"]
+    dx = A.shape[-1]
+    k_loc = _time_matrices(b)
+    # sum over i, j of (A_ij G_j)^T G_i per element, G_i = dphi/dx_i at the
+    # points: batched matmuls contracting the points, with one temporary
+    # the size of a gradient component, (ne, nq, nloc)
+    buf = np.empty(gphi.shape[:-1])
+    for i in range(dx):
+        for j in range(dx):
+            np.multiply(A[..., i, j, None], gphi[..., j], out=buf)
+            k_loc += np.swapaxes(buf, 1, 2) @ gphi[..., i]
     K = _scatter_matrix(space, k_loc)
     return apply_dirichlet(K, space) if dirichlet else K
 
@@ -127,12 +136,7 @@ def assemble_time_matrix(space: FeSpace, order: int = None,
     """Matrix of the time-derivative form int_Q (dw/dt) v."""
     if order is None:
         order = space.default_order()
-    b = space.batch(order)
-    scale = b["scale"]
-    phi = b["values"]
-    dtphi = b["grads"][..., -1]
-    k_loc = np.einsum("eq,qa,eqb->eab", scale, phi, dtphi)
-    K = _scatter_matrix(space, k_loc)
+    K = _scatter_matrix(space, _time_matrices(space.batch(order)))
     return apply_dirichlet(K, space) if dirichlet else K
 
 
@@ -149,7 +153,7 @@ def jacobian_form_element_values(space: FeSpace, u: FeFunction,
     """
     if order is None:
         order = space.default_order()
-    b, gx, _ut, _f = _state(space, u, prob, order)
+    b, gx, _ut = _state(space, u, prob, order)
     A = flux_jacobian(gx, prob.p, prob.eps)
     w = FeFunction(space, direction)
     z = FeFunction(space, test)
@@ -171,7 +175,8 @@ def residual_form_element_values(space: FeSpace, u: FeFunction,
     """
     if order is None:
         order = space.default_order()
-    b, gx, ut, f = _state(space, u, prob, order)
+    b, gx, ut = _state(space, u, prob, order)
+    f = space.source_values(prob.source, order)
     q = flux(gx, prob.p, prob.eps)
     wf = FeFunction(space, weight)
     wv, wg = wf.at_quadrature(order)

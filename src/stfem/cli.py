@@ -47,7 +47,6 @@ class RunConfig:
     out_csv: str = None
     out_vtk_dir: str = None
     seed: int = 0
-    threads: int = 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-vtk-dir", default=None,
                    help="per-level VTK dumps (off by default)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="advisory thread count for parallel-capable stages")
     return p
 
 
@@ -220,7 +217,7 @@ def main(argv=None) -> int:
                        initial_cells=args.initial_cells, solver=args.solver,
                        precond=args.precond, goal=args.goal,
                        out_csv=args.out_csv, out_vtk_dir=args.out_vtk_dir,
-                       seed=args.seed, threads=args.threads)
+                       seed=args.seed)
     try:
         return run(config)
     except ValueError as exc:

@@ -31,8 +31,9 @@ class FinalTimeIntegralGoal:
     def __init__(self, facet_order: int = 6):
         self.facet_order = facet_order
 
-    def _facet_vector(self, space: FeSpace) -> np.ndarray:
-        """Raw dof vector g with g . coeffs = integral over the top face."""
+    def _top_weights(self, space: FeSpace):
+        """Owning element of each top-face facet, (n_top,), and the facet
+        integrals of its local shape functions, (n_top, n_local)."""
         # cached on the space itself; caching by id() would go stale when a
         # collected space's id is reused by a later level
         cache = getattr(space, "_final_time_cache", None)
@@ -42,24 +43,28 @@ class FinalTimeIntegralGoal:
             return cache[self.facet_order]
         mesh = space.mesh
         D = mesh.dim
-        rule = simplex_rule(D - 1, self.facet_order)
-        _jac, inv_jac_t, _det = space.geometry()
-        g = np.zeros(space.n_dofs)
         tops = mesh.boundary_facets(BoundaryTag.TOP)
         if not tops:
             raise GoalError("mesh has no top-face facets")
-        for facet, elem, _tag in tops:
-            F = mesh.vertices[list(facet)]
-            E = F[1:] - F[:1]
-            gram = E @ E.T
-            scale = np.sqrt(abs(np.linalg.det(gram)))
-            phys = F[0] + rule.points @ E
-            x0 = mesh.vertices[mesh.elements[elem, 0]]
-            ref = (phys - x0) @ inv_jac_t[elem]
-            vals, _ = tabulate_shape(D, space.degree, ref)
-            contrib = scale * (rule.weights @ vals)
-            np.add.at(g, space.elem_dofs[elem], contrib)
-        cache[self.facet_order] = g
+        elems = np.array([elem for _facet, elem, _tag in tops])
+        F = mesh.vertices[np.array([facet for facet, _elem, _tag in tops])]
+        E = F[:, 1:] - F[:, :1]  # (n_top, D-1, D)
+        scale = np.sqrt(np.abs(np.linalg.det(E @ np.swapaxes(E, 1, 2))))
+        rule = simplex_rule(D - 1, self.facet_order)
+        phys = F[:, :1] + rule.points @ E  # (n_top, nq, D)
+        _jac, inv_jac_t, _det = space.geometry()
+        x0 = mesh.vertices[mesh.elements[elems, 0]]
+        ref = (phys - x0[:, None]) @ inv_jac_t[elems]
+        vals, _ = tabulate_shape(D, space.degree, ref.reshape(-1, D))
+        vals = vals.reshape(len(elems), len(rule.weights), -1)
+        cache[self.facet_order] = (elems, scale[:, None] * (rule.weights @ vals))
+        return cache[self.facet_order]
+
+    def _facet_vector(self, space: FeSpace) -> np.ndarray:
+        """Raw dof vector g with g . coeffs = integral over the top face."""
+        elems, weights = self._top_weights(space)
+        g = np.zeros(space.n_dofs)
+        np.add.at(g, space.elem_dofs[elems], weights)
         return g
 
     def value(self, space: FeSpace, u: FeFunction) -> float:
@@ -69,7 +74,7 @@ class FinalTimeIntegralGoal:
         return float(self._facet_vector(space) @ v.coeffs)
 
     def gradient(self, space: FeSpace, u: FeFunction) -> np.ndarray:
-        g = self._facet_vector(space).copy()
+        g = self._facet_vector(space)
         g[space.constrained] = 0.0
         return g
 
@@ -77,21 +82,10 @@ class FinalTimeIntegralGoal:
                                   weight: np.ndarray) -> np.ndarray:
         """Per-element contributions of J'(u)(w), attributed to the elements
         owning the top facets."""
-        mesh = space.mesh
-        D = mesh.dim
-        rule = simplex_rule(D - 1, self.facet_order)
-        _jac, inv_jac_t, _det = space.geometry()
-        out = np.zeros(mesh.n_elements)
-        for facet, elem, _tag in mesh.boundary_facets(BoundaryTag.TOP):
-            F = mesh.vertices[list(facet)]
-            E = F[1:] - F[:1]
-            scale = np.sqrt(abs(np.linalg.det(E @ E.T)))
-            phys = F[0] + rule.points @ E
-            x0 = mesh.vertices[mesh.elements[elem, 0]]
-            ref = (phys - x0) @ inv_jac_t[elem]
-            vals, _ = tabulate_shape(D, space.degree, ref)
-            wq = vals @ weight[space.elem_dofs[elem]]
-            out[elem] += scale * (rule.weights @ wq)
+        elems, weights = self._top_weights(space)
+        out = np.zeros(space.mesh.n_elements)
+        np.add.at(out, elems,
+                  np.sum(weights * weight[space.elem_dofs[elems]], axis=1))
         return out
 
 

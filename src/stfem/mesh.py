@@ -69,6 +69,7 @@ class SimplicialMesh:
         self.vertex_parents = np.asarray(vertex_parents, dtype=np.int64)
         self.parent_leaf = parent_leaf
         self.parent_mesh = None
+        self._facet_map = None
         self._facet_tags = None
         self._edge_table = None
 
@@ -127,15 +128,21 @@ class SimplicialMesh:
     # -- topology --------------------------------------------------------
 
     def facet_map(self) -> dict:
-        """Map sorted vertex tuple of each facet -> list of (element, local facet)."""
-        D = self.dim
-        fmap = defaultdict(list)
-        for e in range(self.n_elements):
-            verts = self.elements[e]
-            for loc in range(D + 1):
-                facet = tuple(sorted(np.delete(verts, loc)))
-                fmap[facet].append((e, loc))
-        return fmap
+        """Map sorted vertex tuple of each facet -> list of (element, local facet).
+
+        Built once per mesh and shared by every caller; do not modify it.
+        """
+        if self._facet_map is None:
+            D = self.dim
+            facets = np.sort(np.stack(
+                [np.delete(self.elements, loc, axis=1) for loc in range(D + 1)],
+                axis=1), axis=2)  # (n_elements, D+1, D)
+            fmap = defaultdict(list)
+            for e, rows in enumerate(facets.tolist()):
+                for loc, facet in enumerate(rows):
+                    fmap[tuple(facet)].append((e, loc))
+            self._facet_map = dict(fmap)
+        return self._facet_map
 
     def edge_table(self):
         """Sorted vertex pair -> edge id, plus (n_edges, 2) array of pairs."""

@@ -124,7 +124,7 @@ def gmres(matvec, b: np.ndarray, rel_tol: float = 1e-8, max_iter: int = 100,
     for i in range(k - 1, -1, -1):
         y[i] = (g[i] - H[i, i + 1:k] @ y[i + 1:k]) / H[i, i]
     x = right_prec(V[:k].T @ y)
-    return LinearSolveResult(x, k, history[-1] <= tol, history)
+    return LinearSolveResult(x, k, bool(history[-1] <= tol), history)
 
 
 class Ilu0:
@@ -251,7 +251,7 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
         stats.newton_iters += 1
         stats.residual_history.append(rnorm)
     stats.final_residual_norm = rnorm
-    stats.converged = rnorm <= tol
+    stats.converged = bool(rnorm <= tol)
     return u, stats
 
 

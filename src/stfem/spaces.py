@@ -99,6 +99,7 @@ class FeSpace:
         self.free = ~self.constrained
         self._geom = None
         self._batch_cache = {}
+        self._source_cache = {}
 
     @property
     def n_local(self) -> int:
@@ -166,6 +167,22 @@ class FeSpace:
                 "grads": grads, "scale": scale,
             }
         return self._batch_cache[order]
+
+    def source_values(self, source, order: int) -> np.ndarray:
+        """Read-only values of a callable at the quadrature points, (ne, nq).
+
+        The points of a space never change, so each (order, source) pair is
+        evaluated once.  The key holds the callable itself rather than its
+        id(), so a collected source whose id is reused never matches.
+        """
+        key = (order, source)
+        if key not in self._source_cache:
+            pts = self.batch(order)["points"]
+            f = np.asarray(source(pts.reshape(-1, pts.shape[-1])))
+            f = f.reshape(pts.shape[:2])
+            f.flags.writeable = False
+            self._source_cache[key] = f
+        return self._source_cache[key]
 
     def default_order(self) -> int:
         """Quadrature order for nonlinear residual and Jacobian terms."""

@@ -103,3 +103,32 @@ def test_csv_field_order_is_stable():
         "level", "dofs", "elements", "J_h", "J_error", "eta_h", "eta_h_p",
         "eta_h_a", "eta_k", "I_eff_h", "I_eff_p", "I_eff_a", "newton_iters",
         "inner_iters", "l2_Q_error", "l2_h1_error")
+
+
+def test_capped_adjoint_gmres_fails_the_run(monkeypatch):
+    # the Newton solves stay direct and converge; only the adjoint solves
+    # run one unpreconditioned GMRES step and stop at that cap
+    from stfem import adaptivity
+    from stfem.cli import main
+
+    capped = LinearSolverConfig(kind="gmres", gmres_max_iter=1,
+                                preconditioner="none")
+    solve_adjoint = adaptivity.solve_adjoint
+    adjoint_ok = []
+
+    def capped_adjoint(space, u, goal, prob, lcfg=None, order=None):
+        z, res = solve_adjoint(space, u, goal, prob, capped, order)
+        adjoint_ok.append(res.converged)
+        return z, res
+
+    monkeypatch.setattr(adaptivity, "solve_adjoint", capped_adjoint)
+    prob = smooth_problem(1, p=4.0, eps=1e-5)
+    cfg = AdaptiveConfig(mode="dwr", theta=0.5, max_dofs=400, max_levels=2)
+    result = adaptive_loop(prob, FinalTimeIntegralGoal(), build_box_mesh(1, 2),
+                           cfg, lcfg=DIRECT)
+    assert all(r.converged for r in result.records)
+    assert adjoint_ok and not any(adjoint_ok)
+    assert result.converged is False
+
+    assert main(["--preset", "linear_goal", "--max-dofs", "50",
+                 "--max-levels", "2"]) == 1

@@ -4,7 +4,9 @@ import scipy.sparse as sp
 
 from stfem.assembly import (assemble_jacobian, assemble_residual,
                             assemble_time_matrix, flux, flux_jacobian,
-                            residual_element_vectors)
+                            jacobian_form_element_values,
+                            residual_element_vectors,
+                            residual_form_element_values)
 from stfem.mesh import build_box_mesh, uniform_refine
 from stfem.problems import ProblemDefinition, smooth_problem
 from stfem.quadrature import simplex_rule
@@ -204,3 +206,84 @@ def test_manufactured_source_matches_divergence_oracle():
         expected = exact.dt(pts) - div
         got = f(pts)
         assert np.abs(got - expected).max() <= 1e-5 * np.abs(expected).max()
+
+
+def einsum_jacobian(V, u, prob, order):
+    """Reference Jacobian without boundary rows: the 4-operand einsum over
+    elements, points and both gradient indices."""
+    b = V.batch(order)
+    _vals, grads = u.at_quadrature(order)
+    A = flux_jacobian(grads[..., :-1], prob.p, prob.eps)
+    gphi_x = b["grads"][..., :-1]
+    k_loc = np.einsum("eq,qa,eqb->eab", b["scale"], b["values"],
+                      b["grads"][..., -1])
+    k_loc += np.einsum("eq,eqij,eqbj,eqai->eab", b["scale"], A, gphi_x, gphi_x)
+    ed = V.elem_dofs
+    nloc = ed.shape[1]
+    rows = np.repeat(ed, nloc, axis=1).ravel()
+    cols = np.tile(ed, (1, nloc)).ravel()
+    return sp.coo_matrix((k_loc.ravel(), (rows, cols)),
+                         shape=(V.n_dofs, V.n_dofs)).tocsr()
+
+
+@pytest.mark.parametrize("d,degree", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_jacobian_matches_four_operand_einsum(d, degree):
+    prob = smooth_problem(d, p=4.0, eps=1e-2)
+    V = FeSpace(uniform_refine(build_box_mesh(d, 2), 1), degree)
+    u = random_state(V, seed=11)
+    order = V.default_order()
+    K = assemble_jacobian(V, u, prob, order, dirichlet=False)
+    ref = einsum_jacobian(V, u, prob, order)
+    assert abs(K - ref).max() <= 1e-12 * abs(ref).max()
+
+
+def counting_source(prob):
+    """Replace prob.source by a wrapper; returns the list of call sizes."""
+    calls = []
+    source = prob.source
+
+    def counted(pts):
+        calls.append(len(pts))
+        return source(pts)
+
+    prob.source = counted
+    return calls
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_source_evaluated_once_per_space_and_order(degree):
+    prob = smooth_problem(1, p=4.0, eps=1e-2)
+    calls = counting_source(prob)
+    V = FeSpace(uniform_refine(build_box_mesh(1, 2), 1), degree)
+    u = random_state(V, seed=4)
+    w = random_state(V, seed=5).coeffs
+    for order in (V.default_order(), 8):
+        assemble_jacobian(V, u, prob, order)
+        jacobian_form_element_values(V, u, w, w, prob, order)
+    assert calls == []  # the linearization never reads f
+
+    for order in (V.default_order(), 8):
+        for _ in range(3):
+            assemble_residual(V, u, prob, order)
+            residual_form_element_values(V, u, w, prob, order)
+            assemble_jacobian(V, u, prob, order)
+    nq = [len(simplex_rule(2, o).weights) for o in (V.default_order(), 8)]
+    assert calls == [V.mesh.n_elements * n for n in nq]
+
+    # a new space on the same mesh evaluates f again
+    V2 = FeSpace(V.mesh, degree)
+    assemble_residual(V2, FeFunction(V2, u.coeffs), prob)
+    assert len(calls) == 3
+
+
+def test_cached_source_follows_the_problem():
+    # at u = 0 the residual is -int f phi, so a stale source entry on the
+    # space would show as the other problem's load
+    V = FeSpace(uniform_refine(build_box_mesh(1, 2), 1), 2)
+    probs = [smooth_problem(1, p=p, eps=1e-2) for p in (4.0, 2.0, 4.0)]
+    got = [assemble_residual(V, zero_function(V), prob) for prob in probs]
+    for prob, r in zip(probs, got):
+        fresh = FeSpace(V.mesh, 2)
+        assert np.array_equal(r, assemble_residual(fresh, zero_function(fresh),
+                                                   prob))
+    assert np.abs(got[0] - got[1]).max() > 1e-3 * np.abs(got[0]).max()

@@ -3,10 +3,12 @@ import pytest
 
 from stfem.goals import (FinalTimeIntegralGoal, GoalError, RegionEnergyGoal,
                          eval_goal, goal_derivative)
-from stfem.mesh import (build_box_mesh, build_region_mesh, diamond_region,
-                        refine, uniform_refine)
+from stfem.mesh import (BoundaryTag, build_box_mesh, build_region_mesh,
+                        diamond_region, refine, uniform_refine)
 from stfem.problems import smooth_product_solution
-from stfem.spaces import FeFunction, FeSpace, interpolate, zero_function
+from stfem.quadrature import simplex_rule
+from stfem.spaces import (FeFunction, FeSpace, interpolate, tabulate_shape,
+                          zero_function)
 
 FINAL_TIME_D1 = 2.0 * np.e / np.pi  # integral of e*sin(pi x) over (0,1)
 DIAMOND_P4 = 0.011016424135601978  # frozen high-order quadrature oracle
@@ -147,3 +149,29 @@ def test_final_time_element_localization_sums_to_derivative():
     top_owned = loc != 0.0
     bc = V.mesh.barycenters()
     assert np.all(bc[top_owned][:, -1] > 0.5)
+
+
+@pytest.mark.parametrize("d,degree", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_final_time_goal_matches_facet_loop(d, degree):
+    # per-facet quadrature loop as the reference for the cached weights
+    mesh = build_box_mesh(d, 2)
+    mesh = refine(mesh, np.arange(0, mesh.n_elements, 3))
+    V = FeSpace(mesh, degree)
+    goal = FinalTimeIntegralGoal()
+    rule = simplex_rule(d, goal.facet_order)
+    _jac, inv_jac_t, _det = V.geometry()
+    w = np.random.default_rng(12).normal(size=V.n_dofs)
+    g = np.zeros(V.n_dofs)
+    loc = np.zeros(mesh.n_elements)
+    for facet, elem, _tag in mesh.boundary_facets(BoundaryTag.TOP):
+        F = mesh.vertices[list(facet)]
+        E = F[1:] - F[:1]
+        scale = np.sqrt(abs(np.linalg.det(E @ E.T)))
+        x0 = mesh.vertices[mesh.elements[elem, 0]]
+        ref = (F[0] + rule.points @ E - x0) @ inv_jac_t[elem]
+        vals, _ = tabulate_shape(d + 1, degree, ref)
+        np.add.at(g, V.elem_dofs[elem], scale * (rule.weights @ vals))
+        loc[elem] += scale * (rule.weights @ (vals @ w[V.elem_dofs[elem]]))
+    assert np.array_equal(goal._facet_vector(V), g)
+    got = goal.derivative_element_values(V, None, w)
+    assert np.abs(got - loc).max() <= 1e-14 * np.abs(loc).max()

@@ -186,3 +186,18 @@ def test_refinement_edge_is_stored_edge():
     # initial Kuhn triangles are tagged to bisect the cell diagonal
     pts = m.vertices[[a, b]]
     assert np.allclose(pts.sum(axis=0), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_facet_map_matches_loop_and_is_cached(d):
+    m = build_box_mesh(d, 2)
+    m = refine(m, np.arange(0, m.n_elements, 3))
+    expected = {}
+    for e, verts in enumerate(m.elements):
+        for loc in range(m.dim + 1):
+            facet = tuple(sorted(int(v) for v in np.delete(verts, loc)))
+            expected.setdefault(facet, []).append((e, loc))
+    fmap = m.facet_map()
+    assert fmap == expected
+    assert list(fmap) == list(expected)  # insertion order, element by element
+    assert m.facet_map() is fmap
