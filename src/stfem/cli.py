@@ -73,7 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cells per axis of the initial grid")
     p.add_argument("--solver", choices=["gmres", "direct"], default="direct")
     p.add_argument("--precond", choices=["none", "jacobi", "ilu0"],
-                   default="jacobi")
+                   default="jacobi",
+                   help="GMRES preconditioner; ilu0 is SuperLU's threshold "
+                        "incomplete LU with drop tolerance 1e-4 (the name "
+                        "is kept for existing scripts)")
     p.add_argument("--goal", choices=["final_time", "region_energy", "none"],
                    default=None, help="goal functional (custom preset)")
     p.add_argument("--out-csv", default=None)
@@ -159,7 +162,12 @@ def report_rates(records: list, d: int) -> list[str]:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Execute one experiment; returns the process exit code.
+
+    A ``ValueError`` from the set-up (an invalid configuration) propagates.
+    One raised inside the adaptive loop is a numerical failure: it is printed
+    and the exit code is 1.
+    """
     prob, goal, mesh, cfg = _setup(config)
     ncfg = NewtonConfig()
     lcfg = LinearSolverConfig(kind=config.solver,
@@ -177,7 +185,11 @@ def run(config: RunConfig) -> int:
             write_vtk(os.path.join(config.out_vtk_dir, f"level_{level:03d}.vtk"),
                       mesh_l, point_data=pd, cell_data=cd)
 
-    result = adaptive_loop(prob, goal, mesh, cfg, ncfg, lcfg, callback)
+    try:
+        result = adaptive_loop(prob, goal, mesh, cfg, ncfg, lcfg, callback)
+    except ValueError as exc:  # e.g. non-finite error indicators
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     records = result.records
 
     footer = [f"preset={config.preset} d={config.dim} p={config.p} "
@@ -220,7 +232,7 @@ def main(argv=None) -> int:
                        seed=args.seed)
     try:
         return run(config)
-    except ValueError as exc:
+    except ValueError as exc:  # invalid configuration: a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

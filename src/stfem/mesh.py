@@ -431,10 +431,6 @@ def refine(mesh: SimplicialMesh, marked) -> SimplicialMesh:
         vertex_parents=np.asarray(vparents),
         parent_leaf=ancestors,
     )
-    new._history = {
-        "elements": elems, "tags": tags, "generation": gen,
-        "parent": parent, "alive": alive, "n_input": ne0,
-    }
     new.parent_mesh = mesh
     return new
 

@@ -144,3 +144,16 @@ def test_main_usage_error_exit_code():
     from stfem.cli import main
     assert main(["--theta", "1.5", "--preset", "linear_goal",
                  "--max-dofs", "50"]) == 2
+
+
+def test_main_loop_value_error_is_a_solver_failure(monkeypatch, capsys):
+    # a ValueError raised inside the loop, like doerfler_mark's on
+    # non-finite indicators, is a numerical failure (1), not a usage error
+    from stfem import cli
+
+    def failing_loop(*args, **kwargs):
+        raise ValueError("indicators must be finite")
+
+    monkeypatch.setattr(cli, "adaptive_loop", failing_loop)
+    assert cli.main(["--preset", "linear_goal", "--max-dofs", "50"]) == 1
+    assert "error: indicators must be finite" in capsys.readouterr().err

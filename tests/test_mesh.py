@@ -92,13 +92,19 @@ def test_child_volumes_sum_to_parent():
 def test_genealogy_generation_and_vertex_inheritance():
     m = build_box_mesh(1, 2)
     r = refine(m, [0, 5])
-    hist = r._history
-    n_in = hist["n_input"]
-    for e in range(n_in, len(hist["elements"])):
-        p = hist["parent"][e]
-        assert hist["generation"][e] == hist["generation"][p] + 1
-        shared = set(hist["elements"][e]) & set(hist["elements"][p])
-        assert len(shared) == m.dim  # D of the D+1 vertices come from the parent
+    anc = r.parent_leaf
+    steps = r.generation - m.generation[anc]
+    assert steps.min() >= 0 and steps.max() >= 1
+    # each bisection halves the volume
+    assert np.allclose(r.volumes(), m.volumes()[anc] / 2.0 ** steps,
+                       rtol=1e-13)
+    for e, a in enumerate(anc):
+        inherited = set(r.elements[e]) & set(m.elements[a])
+        # each bisection replaces one vertex by a new edge midpoint
+        assert len(inherited) >= m.dim + 1 - steps[e]
+        assert all(v >= m.n_vertices for v in set(r.elements[e]) - inherited)
+        if steps[e] == 0:  # survivors are kept as they are
+            assert np.array_equal(r.elements[e], m.elements[a])
 
 
 @pytest.mark.parametrize("d,n,rounds", [(1, 2, 10), (2, 1, 7)])

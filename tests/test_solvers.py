@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from stfem.adaptivity import AdaptiveConfig, adaptive_loop
 from stfem.assembly import (assemble_jacobian, assemble_residual,
                             assemble_time_matrix)
+from stfem.dwr import enrich
 from stfem.mesh import build_box_mesh, uniform_refine
 from stfem.problems import smooth_problem
-from stfem.solvers import (Ilu0, LinearSolverConfig, NewtonConfig, gmres,
+from stfem.solvers import (LinearSolverConfig, NewtonConfig, gmres,
                            linear_solve, newton_solve, random_initial_guess,
                            solve_adjoint)
 from stfem.goals import FinalTimeIntegralGoal
-from stfem.spaces import FeFunction, FeSpace, zero_function
+from stfem.spaces import FeFunction, FeSpace, inject, zero_function
 
 DIRECT = LinearSolverConfig(kind="direct")
+GMRES_ILU = LinearSolverConfig(kind="gmres", preconditioner="ilu0")
 
 
 def spd_system(n=50, seed=7):
@@ -67,19 +70,48 @@ def test_preconditioned_linear_solve(pc):
     assert np.linalg.norm(res.x - xd) / np.linalg.norm(xd) < 1e-6
 
 
-def test_ilu0_is_exact_for_triangular_pattern():
-    # on a lower-triangular matrix the ILU(0) factorization is exact
-    A = sp.csr_matrix(np.tril(np.random.default_rng(0).normal(size=(6, 6)))
-                      + 6 * np.eye(6))
-    fac = Ilu0(A)
-    b = np.arange(1.0, 7.0)
-    assert np.allclose(A @ fac.solve(b), b, atol=1e-12)
+def test_ilu_preconditions_the_enriched_adjoint_of_a_dwr_level():
+    # final-time DWR in d=1 at 149 primal dofs: the P2-enriched adjoint
+    # system has 552 unknowns; a zero-fill ILU(0) left GMRES at its
+    # 100-iteration cap here
+    prob = smooth_problem(1, p=4.0, eps=1e-5)
+    goal = FinalTimeIntegralGoal()
+    levels = []
+    adaptive_loop(prob, goal, build_box_mesh(1, 2),
+                  AdaptiveConfig(mode="dwr", max_dofs=149, seed=7),
+                  lcfg=DIRECT,
+                  callback=lambda lev, mesh, V, u, rec: levels.append((V, u)))
+    V, u = levels[-1]
+    assert V.n_dofs >= 149
+    order = 6  # the loop's quadrature order for dwr at degree 1
+    V2 = enrich(V)
+    u2, stats = newton_solve(prob, V2, inject(u, V2), lcfg=DIRECT,
+                             order=order)
+    assert stats.converged
+    _, res = solve_adjoint(V2, u2, goal, prob, GMRES_ILU, order)
+    assert res.converged is True
+    assert res.iters <= 20
+
+
+def test_gmres_ilu_dwr_loop_converges_past_600_dofs():
+    prob = smooth_problem(1, p=4.0, eps=1e-5)
+    result = adaptive_loop(prob, FinalTimeIntegralGoal(), build_box_mesh(1, 2),
+                           AdaptiveConfig(mode="dwr", max_dofs=608),
+                           lcfg=GMRES_ILU)
+    assert result.records[-1].dofs >= 608
+    assert result.converged is True
 
 
 def test_direct_singular_reported_not_raised():
+    # an exactly singular LU or incomplete LU factor, and a zero diagonal
+    # for Jacobi, end the solve unconverged instead of raising
     A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    res = linear_solve(A, np.array([1.0, 2.0]), DIRECT)
-    assert not res.converged
+    for cfg in (DIRECT, GMRES_ILU,
+                LinearSolverConfig(kind="gmres", preconditioner="jacobi")):
+        res = linear_solve(A, np.array([1.0, 2.0]), cfg)
+        assert not res.converged
+        assert res.iters == 0
+        assert np.all(res.x == 0.0)
 
 
 def test_newton_linear_problem_single_iteration():
