@@ -37,6 +37,8 @@ class AdaptiveConfig:
             raise ValueError(f"unknown adaptive mode {self.mode!r}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("Doerfler fraction must be in (0, 1]")
+        if self.max_levels < 1:
+            raise ValueError("max_levels must be at least 1")
         if self.mode == "dwr" and self.degree != 1:
             raise ValueError("dwr mode enriches degree 1 to 2; use degree=1")
 

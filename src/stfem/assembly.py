@@ -6,7 +6,10 @@ The discrete residual of the space-time scheme at a state u is
 
 and the Newton Jacobian adds the time matrix to the linearized diffusion.
 Rows and columns of constrained dofs are replaced by identity, matching the
-homogeneous boundary and initial conditions.
+homogeneous boundary and initial conditions.  Every form is contracted on
+the reference element: one GEMM against tables shared by all elements
+(``FeSpace.batch``), with each element's affine map applied to the
+point data (Cuvelier, Japhet, Scarella, BIT 56 (2016)).
 """
 
 from __future__ import annotations
@@ -65,12 +68,8 @@ def residual_element_vectors(space: FeSpace, u: FeFunction,
         order = space.default_order()
     b, gx, ut = _state(space, u, prob, order)
     f = space.source_values(prob.source, order)
-    q = flux(gx, prob.p, prob.eps)
-    scale = b["scale"]
-    phi = b["values"]
-    gphi = b["grads"][..., :-1]
-    r = np.einsum("eq,qa,eq->ea", scale, phi, ut - f)
-    r += np.einsum("eq,eqi,eqai->ea", scale, q, gphi)
+    r = (b["scale"] * (ut - f)) @ b["values"]
+    r += space.integrate_grad_x(order, flux(gx, prob.p, prob.eps))
     return r
 
 
@@ -84,28 +83,31 @@ def assemble_residual(space: FeSpace, u: FeFunction, prob: ProblemDefinition,
     return r
 
 
-def _scatter_matrix(space: FeSpace, k_loc: np.ndarray) -> sp.csr_matrix:
+def _scatter_matrix(space: FeSpace, k_loc: np.ndarray,
+                    dirichlet: bool) -> sp.csr_matrix:
+    """Sum element matrices into a CSR matrix.  With ``dirichlet``,
+    constrained rows and columns become identity after the one summation of
+    duplicates, so kept entries sum in the same order as without it."""
     ed = space.elem_dofs
     nloc = ed.shape[1]
     rows = np.repeat(ed, nloc, axis=1).ravel()
     cols = np.tile(ed, (1, nloc)).ravel()
     K = sp.coo_matrix((k_loc.ravel(), (rows, cols)),
-                      shape=(space.n_dofs, space.n_dofs))
-    return K.tocsr()
+                      shape=(space.n_dofs, space.n_dofs)).tocsr()
+    if dirichlet:
+        rows = np.repeat(np.arange(space.n_dofs), np.diff(K.indptr))
+        keep = space.free[rows] & space.free[K.indices]
+        K.data = np.where(keep, K.data, rows == K.indices)
+        K.eliminate_zeros()
+    return K
 
 
-def _time_matrices(b: dict) -> np.ndarray:
+def _time_matrices(space: FeSpace, b: dict) -> np.ndarray:
     """Element matrices of int_e (dw/dt) v, shape (n_elements, n_local, n_local)."""
-    weighted = b["scale"][..., None] * b["values"]  # (ne, nq, nloc)
-    return np.swapaxes(weighted, 1, 2) @ b["grads"][..., -1]
-
-
-def apply_dirichlet(K: sp.csr_matrix, space: FeSpace) -> sp.csr_matrix:
-    """Zero constrained rows and columns and put ones on their diagonal."""
-    m = space.free.astype(float)
-    Dm = sp.diags(m)
-    Ic = sp.diags(1.0 - m)
-    return (Dm @ K @ Dm + Ic).tocsr()
+    _jac, inv_jac_t, absdet = space.geometry()
+    nloc = b["values"].shape[1]
+    return ((absdet[:, None] * inv_jac_t[:, -1]) @ b["time_table"]).reshape(
+        -1, nloc, nloc)
 
 
 def assemble_jacobian(space: FeSpace, u: FeFunction, prob: ProblemDefinition,
@@ -116,19 +118,15 @@ def assemble_jacobian(space: FeSpace, u: FeFunction, prob: ProblemDefinition,
     b, gx, _ut = _state(space, u, prob, order)
     A = flux_jacobian(gx, prob.p, prob.eps)
     A *= b["scale"][..., None, None]
-    gphi = b["grads"]
-    dx = A.shape[-1]
-    k_loc = _time_matrices(b)
-    # sum over i, j of (A_ij G_j)^T G_i per element, G_i = dphi/dx_i at the
-    # points: batched matmuls contracting the points, with one temporary
-    # the size of a gradient component, (ne, nq, nloc)
-    buf = np.empty(gphi.shape[:-1])
-    for i in range(dx):
-        for j in range(dx):
-            np.multiply(A[..., i, j, None], gphi[..., j], out=buf)
-            k_loc += np.swapaxes(buf, 1, 2) @ gphi[..., i]
-    K = _scatter_matrix(space, k_loc)
-    return apply_dirichlet(K, space) if dirichlet else K
+    _jac, inv_jac_t, _det = space.geometry()
+    js = inv_jac_t[:, :gx.shape[-1], :]  # (ne, d, D)
+    # the weighted flux Jacobian on the reference element, J_x^T (w A) J_x
+    # per point, then one GEMM against the gradient-pair table
+    B = np.einsum("eik,eqij,ejl->eqkl", js, A, js, optimize=True)
+    k_loc = _time_matrices(space, b)
+    k_loc += (B.reshape(len(B), -1) @ b["stiffness_table"]).reshape(
+        k_loc.shape)
+    return _scatter_matrix(space, k_loc, dirichlet)
 
 
 def assemble_time_matrix(space: FeSpace, order: int = None,
@@ -136,8 +134,8 @@ def assemble_time_matrix(space: FeSpace, order: int = None,
     """Matrix of the time-derivative form int_Q (dw/dt) v."""
     if order is None:
         order = space.default_order()
-    K = _scatter_matrix(space, _time_matrices(space.batch(order)))
-    return apply_dirichlet(K, space) if dirichlet else K
+    return _scatter_matrix(space, _time_matrices(space, space.batch(order)),
+                           dirichlet)
 
 
 def jacobian_form_element_values(space: FeSpace, u: FeFunction,

@@ -19,7 +19,7 @@ import numpy as np
 from .adaptivity import AdaptiveConfig, adaptive_loop
 from .goals import FinalTimeIntegralGoal, RegionEnergyGoal
 from .io import records_to_csv, write_vtk
-from .mesh import build_box_mesh, build_region_mesh
+from .mesh import MeshError, build_box_mesh, build_region_mesh
 from .problems import smooth_problem
 from .solvers import LinearSolverConfig, NewtonConfig
 
@@ -164,9 +164,9 @@ def report_rates(records: list, d: int) -> list[str]:
 def run(config: RunConfig) -> int:
     """Execute one experiment; returns the process exit code.
 
-    A ``ValueError`` from the set-up (an invalid configuration) propagates.
-    One raised inside the adaptive loop is a numerical failure: it is printed
-    and the exit code is 1.
+    A ``ValueError`` or ``MeshError`` from the set-up (an invalid
+    configuration) propagates.  One raised inside the adaptive loop is a
+    numerical failure: it is printed and the exit code is 1.
     """
     prob, goal, mesh, cfg = _setup(config)
     ncfg = NewtonConfig()
@@ -187,7 +187,7 @@ def run(config: RunConfig) -> int:
 
     try:
         result = adaptive_loop(prob, goal, mesh, cfg, ncfg, lcfg, callback)
-    except ValueError as exc:  # e.g. non-finite error indicators
+    except (ValueError, MeshError) as exc:  # e.g. non-finite indicators
         print(f"error: {exc}", file=sys.stderr)
         return 1
     records = result.records
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
                        seed=args.seed)
     try:
         return run(config)
-    except ValueError as exc:  # invalid configuration: a usage error
+    except (ValueError, MeshError) as exc:  # invalid configuration
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -149,11 +149,9 @@ class RegionEnergyGoal:
                  order: int = None) -> np.ndarray:
         if order is None:
             order = 2 * space.degree + 4
-        b, wgrad = self._weighted_gradient(space, u, order)
-        gphi = b["grads"][..., :-1]
-        g_loc = np.einsum("eq,eqi,eqai->ea", b["scale"], wgrad, gphi)
+        _b, wgrad = self._weighted_gradient(space, u, order)
         g = np.zeros(space.n_dofs)
-        np.add.at(g, space.elem_dofs, g_loc)
+        np.add.at(g, space.elem_dofs, space.integrate_grad_x(order, wgrad))
         g[space.constrained] = 0.0
         return g
 

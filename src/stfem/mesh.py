@@ -23,6 +23,11 @@ class MeshError(Exception):
     """Raised for invalid mesh topology, geometry, or refinement input."""
 
 
+def local_edges(D: int) -> list:
+    """Local vertex pairs of a D-simplex's edges, in lexicographic order."""
+    return list(itertools.combinations(range(D + 1), 2))
+
+
 class BoundaryTag(Enum):
     INTERIOR = 0
     LATERAL = 1
@@ -145,15 +150,16 @@ class SimplicialMesh:
         return self._facet_map
 
     def edge_table(self):
-        """Sorted vertex pair -> edge id, plus (n_edges, 2) array of pairs."""
+        """Edges as sorted vertex pairs in lexicographic order, (n_edges, 2),
+        and each element's edge ids, (n_elements, D(D+1)/2), in local-edge
+        order ``local_edges(D)``."""
         if self._edge_table is None:
-            pairs = set()
-            for elem in self.elements:
-                for a, b in itertools.combinations(elem, 2):
-                    pairs.add((min(a, b), max(a, b)))
-            pairs = sorted(pairs)
-            index = {pq: i for i, pq in enumerate(pairs)}
-            self._edge_table = (index, np.array(pairs, dtype=np.int64))
+            a, b = np.array(local_edges(self.dim)).T
+            ends = np.sort(np.stack([self.elements[:, a], self.elements[:, b]],
+                                    axis=-1), axis=-1)
+            pairs, ids = np.unique(ends.reshape(-1, 2), axis=0,
+                                   return_inverse=True)
+            self._edge_table = (pairs, ids.reshape(self.n_elements, -1))
         return self._edge_table
 
     def facet_tags(self) -> dict:

@@ -7,17 +7,13 @@ dofs on the top face are free.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import BoundaryTag, SimplicialMesh
+from .mesh import BoundaryTag, SimplicialMesh, local_edges
 from .quadrature import simplex_rule
-
-
-def _local_edges(D: int):
-    return list(itertools.combinations(range(D + 1), 2))
 
 
 def tabulate_shape(D: int, k: int, points: np.ndarray):
@@ -41,7 +37,7 @@ def tabulate_shape(D: int, k: int, points: np.ndarray):
         grads = np.broadcast_to(dlam, (nq, D + 1, D)).copy()
         return vals, grads
     if k == 2:
-        edges = _local_edges(D)
+        edges = local_edges(D)
         nloc = (D + 1) + len(edges)
         vals = np.empty((nq, nloc))
         grads = np.empty((nq, nloc, D))
@@ -55,6 +51,31 @@ def tabulate_shape(D: int, k: int, points: np.ndarray):
                                     + lam[:, b, None] * dlam[a])
         return vals, grads
     raise ValueError(f"unsupported polynomial degree {k}")
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_tables(D: int, k: int, order: int) -> dict:
+    """Read-only reference-simplex tables at a quadrature rule, shared by all
+    elements.  With R the reference gradients (nq, nloc, D): ``grad_table``
+    is R as (nloc, nq*D), ``test_table`` R as (nq*D, nloc), ``stiffness_table``
+    M[(q,k,l), (a,b)] = R[q,a,k] R[q,b,l] and ``time_table``
+    T[k, (a,b)] = sum_q w_q phi_a(q) R[q,b,k]."""
+    rule = simplex_rule(D, order)
+    vals, R = tabulate_shape(D, k, rule.points)
+    nq, nloc, _ = R.shape
+    tables = {
+        "rule": rule, "values": vals, "ref_grads": R,
+        "grad_table": R.transpose(1, 0, 2).reshape(nloc, nq * D),
+        "test_table": R.transpose(0, 2, 1).reshape(nq * D, nloc),
+        "stiffness_table": np.einsum("qak,qbl->qklab", R, R).reshape(
+            nq * D * D, nloc * nloc),
+        "time_table": np.einsum("q,qa,qbk->kab", rule.weights, vals,
+                                R).reshape(D, nloc * nloc),
+    }
+    for table in tables.values():
+        if isinstance(table, np.ndarray):
+            table.flags.writeable = False
+    return tables
 
 
 class FeSpace:
@@ -73,23 +94,16 @@ class FeSpace:
             raise ValueError(f"unsupported polynomial degree {degree}")
         self.mesh = mesh
         self.degree = degree
-        D = mesh.dim
 
         if degree == 1:
             self.n_dofs = mesh.n_vertices
             self.elem_dofs = mesh.elements.copy()
             self.dof_coords = mesh.vertices.copy()
         else:
-            edge_index, edge_pairs = mesh.edge_table()
+            edge_pairs, elem_edges = mesh.edge_table()
             nv = mesh.n_vertices
             self.n_dofs = nv + len(edge_pairs)
-            edges = _local_edges(D)
-            ed = np.empty((mesh.n_elements, len(edges)), dtype=np.int64)
-            for e, elem in enumerate(mesh.elements):
-                for m, (a, b) in enumerate(edges):
-                    va, vb = elem[a], elem[b]
-                    ed[e, m] = nv + edge_index[(min(va, vb), max(va, vb))]
-            self.elem_dofs = np.hstack([mesh.elements, ed])
+            self.elem_dofs = np.hstack([mesh.elements, nv + elem_edges])
             mids = 0.5 * (mesh.vertices[edge_pairs[:, 0]]
                           + mesh.vertices[edge_pairs[:, 1]])
             self.dof_coords = np.vstack([mesh.vertices, mids])
@@ -148,25 +162,33 @@ class FeSpace:
     def batch(self, order: int):
         """Tabulated data at a quadrature rule of the given order.
 
-        Returns a dict with the rule, physical quadrature points
-        (ne, nq, D), shape values (nq, nloc), physical gradients
-        (ne, nq, nloc, D), and quadrature scale w*|det| (ne, nq).
+        Returns a dict with the tables of ``_reference_tables``, shared by
+        every element (the rule, shape values (nq, nloc), reference gradients
+        (nq, nloc, D) and their contraction tables), plus physical points
+        (ne, nq, D) and quadrature scale w*|det| (ne, nq).  No physical
+        shape gradients are stored: forms contract with the reference tables
+        and map each element with ``geometry()``'s inverse Jacobian.
         """
         if order not in self._batch_cache:
-            D = self.mesh.dim
-            rule = simplex_rule(D, order)
-            vals, ref_grads = tabulate_shape(D, self.degree, rule.points)
-            jac, inv_jac_t, absdet = self.geometry()
+            tables = _reference_tables(self.mesh.dim, self.degree, order)
+            rule = tables["rule"]
+            jac, _inv_jac_t, absdet = self.geometry()
             X0 = self.mesh.vertices[self.mesh.elements[:, 0]]
             phys = X0[:, None, :] + np.einsum(
                 "eij,qj->eqi", jac, rule.points)
-            grads = np.einsum("eij,qaj->eqai", inv_jac_t, ref_grads)
             scale = rule.weights[None, :] * absdet[:, None]
-            self._batch_cache[order] = {
-                "rule": rule, "values": vals, "points": phys,
-                "grads": grads, "scale": scale,
-            }
+            self._batch_cache[order] = {**tables, "points": phys,
+                                        "scale": scale}
         return self._batch_cache[order]
+
+    def integrate_grad_x(self, order: int, q: np.ndarray) -> np.ndarray:
+        """Per-element quadrature of q . grad_x phi_a, (ne, nloc), for a
+        spatial field q (ne, nq, d): q is pulled back to the reference
+        element, w*|det| q J_x^-T, then contracted with R in one GEMM."""
+        b = self.batch(order)
+        _jac, inv_jac_t, _det = self.geometry()
+        v = (b["scale"][..., None] * q) @ inv_jac_t[:, :q.shape[-1], :]
+        return v.reshape(len(v), -1) @ b["test_table"]
 
     def source_values(self, source, order: int) -> np.ndarray:
         """Read-only values of a callable at the quadrature points, (ne, nq).
@@ -220,11 +242,13 @@ class FeFunction:
 
     def at_quadrature(self, order: int):
         """Values (ne, nq) and full gradients (ne, nq, D) at quadrature points."""
-        b = self.space.batch(order)
-        u = self.coeffs[self.space.elem_dofs]
-        vals = np.einsum("qa,ea->eq", b["values"], u)
-        grads = np.einsum("eqai,ea->eqi", b["grads"], u)
-        return vals, grads
+        space = self.space
+        b = space.batch(order)
+        _jac, inv_jac_t, _det = space.geometry()
+        u = self.coeffs[space.elem_dofs]
+        vals = u @ b["values"].T
+        ref = (u @ b["grad_table"]).reshape(len(u), -1, space.mesh.dim)
+        return vals, ref @ np.swapaxes(inv_jac_t, 1, 2)
 
 
 def zero_function(space: FeSpace) -> FeFunction:

@@ -48,6 +48,8 @@ def test_config_validation():
         AdaptiveConfig(mode="foo")
     with pytest.raises(ValueError):
         AdaptiveConfig(mode="dwr", degree=2)
+    with pytest.raises(ValueError):
+        AdaptiveConfig(max_levels=0)
 
 
 def test_uniform_loop_records_and_rates():

@@ -208,22 +208,118 @@ def test_manufactured_source_matches_divergence_oracle():
         assert np.abs(got - expected).max() <= 1e-5 * np.abs(expected).max()
 
 
-def einsum_jacobian(V, u, prob, order):
-    """Reference Jacobian without boundary rows: the 4-operand einsum over
-    elements, points and both gradient indices."""
-    b = V.batch(order)
-    _vals, grads = u.at_quadrature(order)
-    A = flux_jacobian(grads[..., :-1], prob.p, prob.eps)
-    gphi_x = b["grads"][..., :-1]
-    k_loc = np.einsum("eq,qa,eqb->eab", b["scale"], b["values"],
-                      b["grads"][..., -1])
-    k_loc += np.einsum("eq,eqij,eqbj,eqai->eab", b["scale"], A, gphi_x, gphi_x)
+def physical_gradients(V, order):
+    """Reference: per-element physical shape gradients (ne, nq, nloc, D),
+    built from the affine maps and the reference gradients."""
+    _jac, inv_jac_t, _det = V.geometry()
+    return np.einsum("eij,qaj->eqai", inv_jac_t, V.batch(order)["ref_grads"])
+
+
+def einsum_scatter(V, k_loc):
     ed = V.elem_dofs
     nloc = ed.shape[1]
     rows = np.repeat(ed, nloc, axis=1).ravel()
     cols = np.tile(ed, (1, nloc)).ravel()
     return sp.coo_matrix((k_loc.ravel(), (rows, cols)),
                          shape=(V.n_dofs, V.n_dofs)).tocsr()
+
+
+def einsum_jacobian(V, u, prob, order):
+    """Reference Jacobian without boundary rows: the 4-operand einsum over
+    elements, points and both gradient indices."""
+    b = V.batch(order)
+    _vals, grads = u.at_quadrature(order)
+    A = flux_jacobian(grads[..., :-1], prob.p, prob.eps)
+    gphi = physical_gradients(V, order)
+    gphi_x = gphi[..., :-1]
+    k_loc = np.einsum("eq,qa,eqb->eab", b["scale"], b["values"],
+                      gphi[..., -1])
+    k_loc += np.einsum("eq,eqij,eqbj,eqai->eab", b["scale"], A, gphi_x, gphi_x)
+    return einsum_scatter(V, k_loc)
+
+
+CASES = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def case_space(d, degree):
+    return FeSpace(uniform_refine(build_box_mesh(d, 2), 1), degree)
+
+
+def rel_err(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("d,degree", CASES)
+def test_residual_matches_physical_gradient_einsum(d, degree):
+    prob = smooth_problem(d, p=4.0, eps=1e-2)
+    V = case_space(d, degree)
+    u = random_state(V, seed=12)
+    order = V.default_order()
+    b = V.batch(order)
+    gphi = physical_gradients(V, order)
+    grads = np.einsum("eqai,ea->eqi", gphi, u.coeffs[V.elem_dofs])
+    f = V.source_values(prob.source, order)
+    ref = np.einsum("eq,qa,eq->ea", b["scale"], b["values"],
+                    grads[..., -1] - f)
+    ref += np.einsum("eq,eqi,eqai->ea", b["scale"],
+                     flux(grads[..., :-1], prob.p, prob.eps), gphi[..., :-1])
+    assert rel_err(residual_element_vectors(V, u, prob, order), ref) <= 1e-12
+
+
+@pytest.mark.parametrize("d,degree", CASES)
+def test_form_values_match_physical_gradient_einsum(d, degree):
+    prob = smooth_problem(d, p=4.0, eps=1e-2)
+    V = case_space(d, degree)
+    u, w, z = (random_state(V, seed=s) for s in (13, 14, 15))
+    order = V.default_order()
+    b = V.batch(order)
+    gphi = physical_gradients(V, order)
+    ug, wg, zg = (np.einsum("eqai,ea->eqi", gphi, x.coeffs[V.elem_dofs])
+                  for x in (u, w, z))
+    wv, zv = (x.coeffs[V.elem_dofs] @ b["values"].T for x in (w, z))
+    s = b["scale"]
+    f = V.source_values(prob.source, order)
+    A = flux_jacobian(ug[..., :-1], prob.p, prob.eps)
+    ref_j = np.einsum("eq,eq,eq->e", s, wg[..., -1], zv)
+    ref_j += np.einsum("eq,eqij,eqj,eqi->e", s, A, wg[..., :-1], zg[..., :-1])
+    ref_r = np.einsum("eq,eq->e", s, (ug[..., -1] - f) * wv)
+    q = flux(ug[..., :-1], prob.p, prob.eps)
+    ref_r += np.einsum("eq,eqi,eqi->e", s, q, wg[..., :-1])
+    got_j = jacobian_form_element_values(V, u, w.coeffs, z.coeffs, prob, order)
+    got_r = residual_form_element_values(V, u, w.coeffs, prob, order)
+    assert rel_err(got_j, ref_j) <= 1e-12
+    assert rel_err(got_r, ref_r) <= 1e-12
+
+
+@pytest.mark.parametrize("d,degree", CASES)
+def test_time_matrix_matches_physical_gradient_einsum(d, degree):
+    V = case_space(d, degree)
+    order = V.default_order()
+    b = V.batch(order)
+    ref = einsum_scatter(V, np.einsum("eq,qa,eqb->eab", b["scale"],
+                                      b["values"],
+                                      physical_gradients(V, order)[..., -1]))
+    got = assemble_time_matrix(V, order, dirichlet=False)
+    assert abs(got - ref).max() <= 1e-12 * abs(ref).max()
+
+
+@pytest.mark.parametrize("d,degree", CASES)
+def test_dirichlet_scatter_matches_masked_product(d, degree):
+    # the former boundary treatment: Dm K Dm + Ic on the raw matrix
+    prob = smooth_problem(d, p=4.0, eps=1e-2)
+    V = case_space(d, degree)
+    u = random_state(V, seed=16)
+    m = V.free.astype(float)
+    for raw, got in ((assemble_jacobian(V, u, prob, dirichlet=False),
+                      assemble_jacobian(V, u, prob)),
+                     (assemble_time_matrix(V, dirichlet=False),
+                      assemble_time_matrix(V))):
+        ref = (sp.diags(m) @ raw @ sp.diags(m) + sp.diags(1.0 - m)).tocsr()
+        ref.sort_indices()
+        got.sort_indices()
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
 
 
 @pytest.mark.parametrize("d,degree", [(1, 1), (1, 2), (2, 1), (2, 2)])

@@ -117,6 +117,28 @@ def test_gradient_consistent_with_derivative():
     assert np.all(g[V.constrained] == 0.0)
 
 
+@pytest.mark.parametrize("d,degree", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_region_gradient_matches_physical_gradient_einsum(d, degree):
+    mesh, region = build_region_mesh(d)
+    V = FeSpace(mesh, degree)
+    goal = RegionEnergyGoal(region, 4.0, mesh)
+    u = FeFunction(V, np.random.default_rng(9).normal(size=V.n_dofs))
+    order = 2 * degree + 4
+    b = V.batch(order)
+    _jac, inv_jac_t, _det = V.geometry()
+    gphi = np.einsum("eij,qaj->eqai", inv_jac_t, b["ref_grads"])[..., :-1]
+    gx = np.einsum("eqai,ea->eqi", gphi, u.coeffs[V.elem_dofs])
+    dens = 4.0 * np.sum(gx * gx, axis=-1)
+    dens[~goal.inside_elements(mesh)] = 0.0
+    g_loc = np.einsum("eq,eqi,eqai->ea", b["scale"], dens[..., None] * gx,
+                      gphi)
+    ref = np.zeros(V.n_dofs)
+    np.add.at(ref, V.elem_dofs, g_loc)
+    ref[V.constrained] = 0.0
+    got = goal.gradient(V, u, order)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_unaligned_region_rejected():
     mesh = build_box_mesh(1, 3)  # diamond not resolved by a 3x3 Kuhn grid
     with pytest.raises(GoalError):

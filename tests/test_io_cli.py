@@ -146,6 +146,26 @@ def test_main_usage_error_exit_code():
                  "--max-dofs", "50"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["--initial-cells", "0"],
+                                  ["--max-levels", "0"]])
+def test_bad_setup_value_is_a_usage_error(argv, capsys):
+    from stfem.cli import main
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_main_loop_mesh_error_is_a_solver_failure(monkeypatch, capsys):
+    from stfem import cli
+    from stfem.mesh import MeshError
+
+    def failing_loop(*args, **kwargs):
+        raise MeshError("bisection closure did not terminate")
+
+    monkeypatch.setattr(cli, "adaptive_loop", failing_loop)
+    assert cli.main(["--preset", "linear_goal", "--max-dofs", "50"]) == 1
+    assert "error: bisection closure" in capsys.readouterr().err
+
+
 def test_main_loop_value_error_is_a_solver_failure(monkeypatch, capsys):
     # a ValueError raised inside the loop, like doerfler_mark's on
     # non-finite indicators, is a numerical failure (1), not a usage error

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from stfem.mesh import build_box_mesh, uniform_refine
+from stfem.mesh import build_box_mesh, refine, uniform_refine
 from stfem.problems import smooth_product_solution
 from stfem.spaces import (FeFunction, FeSpace, error_norms, inject,
                           interpolate, transfer, transfer_p1, zero_function)
@@ -28,6 +30,27 @@ def test_free_dofs_n2():
 def test_p2_dof_count():
     V = FeSpace(build_box_mesh(1, 1), 2)
     assert V.n_dofs == 9  # 4 vertices + 5 edges
+
+
+def test_edge_table_and_p2_dofs_match_edge_loop():
+    mesh = build_box_mesh(2, 2)
+    mesh = refine(mesh, np.arange(0, mesh.n_elements, 3))
+    pairs = sorted({(min(a, b), max(a, b))
+                    for elem in mesh.elements.tolist()
+                    for a, b in itertools.combinations(elem, 2)})
+    index = {pq: i for i, pq in enumerate(pairs)}
+    local = list(itertools.combinations(range(mesh.dim + 1), 2))
+    ids = [[index[tuple(sorted((elem[a], elem[b])))] for a, b in local]
+           for elem in mesh.elements.tolist()]
+    got_pairs, got_ids = mesh.edge_table()
+    assert np.array_equal(got_pairs, pairs)
+    assert np.array_equal(got_ids, ids)
+    assert mesh.edge_table()[0] is got_pairs
+    V = FeSpace(mesh, 2)
+    nv = mesh.n_vertices
+    assert np.array_equal(V.elem_dofs, np.hstack([mesh.elements,
+                                                  nv + np.array(ids)]))
+    assert V.n_dofs == nv + len(pairs)
 
 
 def test_p2_constrained_midpoints():
@@ -97,6 +120,39 @@ def test_partition_of_unity(d, k):
     V = FeSpace(build_box_mesh(d, 1), k)
     b = V.batch(4)
     assert np.abs(b["values"].sum(axis=1) - 1.0).max() < 1e-12
+
+
+def physical_gradients(V, order):
+    """Reference: per-element physical shape gradients (ne, nq, nloc, D)."""
+    _jac, inv_jac_t, _det = V.geometry()
+    return np.einsum("eij,qaj->eqai", inv_jac_t, V.batch(order)["ref_grads"])
+
+
+@pytest.mark.parametrize("d,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_at_quadrature_matches_physical_gradient_einsum(d, k):
+    V = FeSpace(uniform_refine(build_box_mesh(d, 2), 1), k)
+    u = FeFunction(V, np.random.default_rng(3).normal(size=V.n_dofs))
+    order = V.default_order()
+    b = V.batch(order)
+    u_loc = u.coeffs[V.elem_dofs]
+    ref_vals = np.einsum("qa,ea->eq", b["values"], u_loc)
+    ref_grads = np.einsum("eqai,ea->eqi", physical_gradients(V, order), u_loc)
+    vals, grads = u.at_quadrature(order)
+    assert np.abs(vals - ref_vals).max() <= 1e-12 * np.abs(ref_vals).max()
+    assert np.abs(grads - ref_grads).max() <= 1e-12 * np.abs(ref_grads).max()
+
+
+@pytest.mark.parametrize("d,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_batch_stores_no_per_element_shape_gradients(d, k):
+    V = FeSpace(uniform_refine(build_box_mesh(d, 2), 1), k)
+    for order in (V.default_order(), 2 * k + 4):
+        b = V.batch(order)
+        ne = V.mesh.n_elements
+        nq, nloc, D = b["ref_grads"].shape
+        assert ne not in (D * nloc, D * D * nloc)  # no size coincidence
+        sizes = {name: np.size(arr) for name, arr in b.items()
+                 if isinstance(arr, np.ndarray)}
+        assert ne * nq * nloc * D not in sizes.values(), sizes
 
 
 def test_gradients_match_finite_differences():
