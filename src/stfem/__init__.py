@@ -10,7 +10,7 @@ from .goals import (FinalTimeIntegralGoal, GoalError, RegionEnergyGoal,
                     eval_goal, goal_derivative)
 from .io import records_to_csv, write_vtk
 from .mesh import (BoundaryTag, GoalRegion, MeshError, SimplicialMesh,
-                   build_box_mesh, build_region_mesh, classify_boundary,
+                   box_faces, build_box_mesh, build_region_mesh,
                    diamond_region, octahedron_region, refine, uniform_refine)
 from .problems import (ManufacturedSolution, ProblemDefinition,
                        manufactured_source, smooth_problem,

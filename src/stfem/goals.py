@@ -43,11 +43,12 @@ class FinalTimeIntegralGoal:
             return cache[self.facet_order]
         mesh = space.mesh
         D = mesh.dim
-        tops = mesh.boundary_facets(BoundaryTag.TOP)
-        if not tops:
+        facets, owners, tags = mesh.boundary_facets()
+        top = tags == BoundaryTag.TOP
+        if not top.any():
             raise GoalError("mesh has no top-face facets")
-        elems = np.array([elem for _facet, elem, _tag in tops])
-        F = mesh.vertices[np.array([facet for facet, _elem, _tag in tops])]
+        elems = owners[top]
+        F = mesh.vertices[facets[top]]
         E = F[:, 1:] - F[:, :1]  # (n_top, D-1, D)
         scale = np.sqrt(np.abs(np.linalg.det(E @ np.swapaxes(E, 1, 2))))
         rule = simplex_rule(D - 1, self.facet_order)

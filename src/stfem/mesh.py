@@ -5,14 +5,20 @@ domain whose last coordinate is time.  Meshes are built from Kuhn triangulations
 of a tensor grid and refined by tagged newest-vertex bisection, which keeps the
 mesh conforming (no hanging nodes) and shape regular under arbitrary local
 refinement.
+
+Boundary conditions only need to know which face of the box a point lies on:
+:func:`box_faces` reads that from coordinates.  The boundary facets of a mesh
+and their tags (bottom t=0, top t=1, lateral) form one array table,
+:meth:`SimplicialMesh.boundary_facets`, built once per mesh.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import defaultdict
+from enum import IntEnum
 from math import factorial
-from enum import Enum
 
 import numpy as np
 
@@ -28,11 +34,22 @@ def local_edges(D: int) -> list:
     return list(itertools.combinations(range(D + 1), 2))
 
 
-class BoundaryTag(Enum):
-    INTERIOR = 0
+class BoundaryTag(IntEnum):
     LATERAL = 1
     BOTTOM = 2
     TOP = 3
+
+
+def box_faces(coords: np.ndarray):
+    """Which faces of the unit box whole point sets lie on.
+
+    ``coords`` is (n, k, D): n sets of k points.  Returns boolean masks
+    (bottom, top, lateral), each (n,): all k points on t = 0, all on t = 1,
+    all on one face x_j = 0 or x_j = 1 (j < D-1).
+    """
+    on0 = np.all(np.abs(coords) <= GEOM_TOL, axis=1)
+    on1 = np.all(np.abs(coords - 1.0) <= GEOM_TOL, axis=1)
+    return on0[:, -1], on1[:, -1], np.any(on0[:, :-1] | on1[:, :-1], axis=1)
 
 
 class SimplicialMesh:
@@ -57,6 +74,9 @@ class SimplicialMesh:
     parent_leaf : (n_elements,) int array or None
         For meshes produced by :func:`refine`, the index of the element in the
         input mesh that each element descends from (identity for survivors).
+    parent_mesh : weakref.ref or None
+        For meshes produced by :func:`refine`, a weak reference to the input
+        mesh, so that a refined mesh does not keep its ancestors alive.
     """
 
     def __init__(self, vertices, elements, tags, generation=None,
@@ -74,8 +94,7 @@ class SimplicialMesh:
         self.vertex_parents = np.asarray(vertex_parents, dtype=np.int64)
         self.parent_leaf = parent_leaf
         self.parent_mesh = None
-        self._facet_map = None
-        self._facet_tags = None
+        self._boundary = None
         self._edge_table = None
 
     # -- basic queries ---------------------------------------------------
@@ -132,23 +151,6 @@ class SimplicialMesh:
 
     # -- topology --------------------------------------------------------
 
-    def facet_map(self) -> dict:
-        """Map sorted vertex tuple of each facet -> list of (element, local facet).
-
-        Built once per mesh and shared by every caller; do not modify it.
-        """
-        if self._facet_map is None:
-            D = self.dim
-            facets = np.sort(np.stack(
-                [np.delete(self.elements, loc, axis=1) for loc in range(D + 1)],
-                axis=1), axis=2)  # (n_elements, D+1, D)
-            fmap = defaultdict(list)
-            for e, rows in enumerate(facets.tolist()):
-                for loc, facet in enumerate(rows):
-                    fmap[tuple(facet)].append((e, loc))
-            self._facet_map = dict(fmap)
-        return self._facet_map
-
     def edge_table(self):
         """Edges as sorted vertex pairs in lexicographic order, (n_edges, 2),
         and each element's edge ids, (n_elements, D(D+1)/2), in local-edge
@@ -162,55 +164,55 @@ class SimplicialMesh:
             self._edge_table = (pairs, ids.reshape(self.n_elements, -1))
         return self._edge_table
 
-    def facet_tags(self) -> dict:
-        """Boundary facet tags; interior facets are not listed (see facet_tag)."""
-        if self._facet_tags is None:
-            self._facet_tags = classify_boundary(self)
-        return self._facet_tags
+    def boundary_facets(self):
+        """Boundary facet table ``(facets, owners, tags)``, built once.
 
-    def facet_tag(self, facet_vertices) -> BoundaryTag:
-        key = tuple(sorted(int(v) for v in facet_vertices))
-        return self.facet_tags().get(key, BoundaryTag.INTERIOR)
-
-    def boundary_facets(self, tag: BoundaryTag = None):
-        """List of (facet vertex tuple, owning element) for boundary facets."""
-        fmap = self.facet_map()
-        tags = self.facet_tags()
-        out = []
-        for facet, owners in fmap.items():
-            if len(owners) == 1:
-                t = tags[facet]
-                if tag is None or t == tag:
-                    out.append((facet, owners[0][0], t))
-        return out
+        ``facets`` (n_b, D) holds sorted vertex ids, ``owners`` (n_b,) the
+        owning element and ``tags`` (n_b,) the :class:`BoundaryTag`, in order
+        of first appearance (element by element, then local facet).  Raises
+        MeshError for a facet shared by more than two elements and for a
+        single-owner facet off the box faces, i.e. a hanging node.
+        """
+        if self._boundary is None:
+            D = self.dim
+            local = np.sort(np.stack(
+                [np.delete(self.elements, loc, axis=1) for loc in range(D + 1)],
+                axis=1), axis=2).reshape(-1, D)  # row e*(D+1) + loc
+            key = np.ravel_multi_index(local.T, (self.n_vertices,) * D)
+            _, first, counts = np.unique(key, return_index=True,
+                                         return_counts=True)
+            if np.any(counts > 2):
+                i = counts.argmax()
+                raise MeshError(f"facet {local[first[i]].tolist()} shared by "
+                                f"{counts[i]} elements")
+            rows = np.sort(first[counts == 1])
+            facets = local[rows]
+            bottom, top, lateral = box_faces(self.vertices[facets])
+            off = ~(bottom | top | lateral)
+            if off.any():
+                raise MeshError(f"hanging facet {facets[off][0].tolist()} "
+                                "(single owner, off the box boundary)")
+            tags = np.where(bottom, BoundaryTag.BOTTOM, np.where(
+                top, BoundaryTag.TOP, BoundaryTag.LATERAL))
+            self._boundary = (facets, rows // (D + 1), tags)
+            for table in self._boundary:
+                table.flags.writeable = False
+        return self._boundary
 
     # -- quality and validity ---------------------------------------------
 
     def check_conforming(self) -> None:
         """Raise MeshError if the mesh has hanging nodes or bad facet sharing.
 
-        Every facet must be shared by at most two elements, and a facet with a
+        Every facet must be shared by at most two elements, a facet with a
         single owner must lie on the boundary of the unit box (otherwise a
-        neighbor was refined without matching, i.e. a hanging node exists).
+        neighbor was refined without matching, i.e. a hanging node exists),
+        and the element volumes must sum to one.
         """
-        fmap = self.facet_map()
-        for facet, owners in fmap.items():
-            if len(owners) > 2:
-                raise MeshError(f"facet {facet} shared by {len(owners)} elements")
-            if len(owners) == 1 and not self._facet_on_box_boundary(facet):
-                raise MeshError(f"hanging facet {facet} (single owner, interior)")
+        self.boundary_facets()
         vol = self.volumes().sum()
         if abs(vol - 1.0) > 1e-12 * max(1.0, vol):
             raise MeshError(f"element volumes sum to {vol!r}, expected 1")
-
-    def _facet_on_box_boundary(self, facet) -> bool:
-        coords = self.vertices[list(facet)]
-        for j in range(self.dim):
-            if np.all(np.abs(coords[:, j]) <= GEOM_TOL):
-                return True
-            if np.all(np.abs(coords[:, j] - 1.0) <= GEOM_TOL):
-                return True
-        return False
 
     def quality(self) -> np.ndarray:
         """Inradius/circumradius ratio per element."""
@@ -290,37 +292,6 @@ def build_box_mesh(d: int, n: int, reflected: bool = False) -> SimplicialMesh:
             tags.append(D)
     return SimplicialMesh(np.asarray(vertices), np.asarray(elements),
                           np.asarray(tags))
-
-
-def classify_boundary(mesh: SimplicialMesh) -> dict:
-    """Tag every boundary facet as BOTTOM (t=0), TOP (t=1), or LATERAL.
-
-    Raises MeshError for boundary facets that do not lie on a face of the
-    unit box.
-    """
-    D = mesh.dim
-    fmap = mesh.facet_map()
-    tags = {}
-    for facet, owners in fmap.items():
-        if len(owners) != 1:
-            continue
-        coords = mesh.vertices[list(facet)]
-        t = coords[:, -1]
-        if np.all(np.abs(t) <= GEOM_TOL):
-            tags[facet] = BoundaryTag.BOTTOM
-        elif np.all(np.abs(t - 1.0) <= GEOM_TOL):
-            tags[facet] = BoundaryTag.TOP
-        else:
-            lateral = False
-            for j in range(D - 1):
-                x = coords[:, j]
-                if np.all(np.abs(x) <= GEOM_TOL) or np.all(np.abs(x - 1.0) <= GEOM_TOL):
-                    lateral = True
-                    break
-            if not lateral:
-                raise MeshError(f"boundary facet {facet} not on the unit-box boundary")
-            tags[facet] = BoundaryTag.LATERAL
-    return tags
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +408,7 @@ def refine(mesh: SimplicialMesh, marked) -> SimplicialMesh:
         vertex_parents=np.asarray(vparents),
         parent_leaf=ancestors,
     )
-    new.parent_mesh = mesh
+    new.parent_mesh = weakref.ref(mesh)
     return new
 
 
@@ -455,7 +426,7 @@ def uniform_refine(mesh: SimplicialMesh, rounds: int = 1) -> SimplicialMesh:
             else ancestors[mesh.parent_leaf]
     if ancestors is not None:
         mesh.parent_leaf = ancestors
-        mesh.parent_mesh = root
+        mesh.parent_mesh = weakref.ref(root)
     return mesh
 
 

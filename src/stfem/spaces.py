@@ -2,7 +2,9 @@
 
 Degrees 1 and 2 are supported.  Functions in the trial space vanish on the
 lateral boundary and the bottom (initial-time) face of the space-time box;
-dofs on the top face are free.
+dofs on the top face are free.  The Dirichlet mask is read from the dof
+coordinates by :func:`stfem.mesh.box_faces`: on the unit box a P2 edge
+midpoint lies on a face exactly when both end points do.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import BoundaryTag, SimplicialMesh, local_edges
+from .mesh import SimplicialMesh, box_faces, local_edges
 from .quadrature import simplex_rule
 
 
@@ -109,7 +111,9 @@ class FeSpace:
             self.dof_coords = np.vstack([mesh.vertices, mids])
             self._edge_pairs = edge_pairs
 
-        self.constrained = self._constrained_mask()
+        mesh.boundary_facets()  # raises MeshError for a hanging facet
+        bottom, _top, lateral = box_faces(self.dof_coords[:, None, :])
+        self.constrained = bottom | lateral
         self.free = ~self.constrained
         self._geom = None
         self._batch_cache = {}
@@ -118,34 +122,6 @@ class FeSpace:
     @property
     def n_local(self) -> int:
         return self.elem_dofs.shape[1]
-
-    def _constrained_mask(self) -> np.ndarray:
-        mesh = self.mesh
-        mask = np.zeros(self.n_dofs, dtype=bool)
-        constrained_vertices = set()
-        for facet, _elem, tag in mesh.boundary_facets():
-            if tag in (BoundaryTag.LATERAL, BoundaryTag.BOTTOM):
-                constrained_vertices.update(facet)
-        idx = np.fromiter(constrained_vertices, dtype=np.int64,
-                          count=len(constrained_vertices))
-        if idx.size:
-            mask[idx] = True
-        if self.degree == 2:
-            pairs = self._edge_pairs
-            nv = mesh.n_vertices
-            # an edge midpoint is constrained iff its edge lies inside a
-            # constrained facet; for the box this is equivalent to both
-            # endpoints constrained and the midpoint on the same box face
-            both = mask[pairs[:, 0]] & mask[pairs[:, 1]]
-            mids = self.dof_coords[nv:]
-            on_face = np.zeros(len(pairs), dtype=bool)
-            t = mids[:, -1]
-            on_face |= np.abs(t) <= 1e-12
-            for j in range(mesh.dim - 1):
-                x = mids[:, j]
-                on_face |= (np.abs(x) <= 1e-12) | (np.abs(x - 1.0) <= 1e-12)
-            mask[nv:] = both & on_face
-        return mask
 
     # -- geometry ----------------------------------------------------------
 
@@ -304,7 +280,8 @@ def transfer(u: FeFunction, fine_space: FeSpace) -> FeFunction:
     """
     coarse = u.space
     fine = fine_space.mesh
-    if fine.parent_leaf is None or fine.parent_mesh is not coarse.mesh:
+    parent = fine.parent_mesh() if fine.parent_mesh is not None else None
+    if fine.parent_leaf is None or parent is not coarse.mesh:
         raise ValueError("fine mesh is not a recorded refinement of the "
                          "coarse function's mesh")
     if coarse.degree == 1 and fine_space.degree == 1:

@@ -14,8 +14,7 @@ from stfem.assembly import (assemble_jacobian, assemble_residual,
                             assemble_time_matrix)
 from stfem.dwr import enrich, estimate
 from stfem.goals import FinalTimeIntegralGoal, RegionEnergyGoal, eval_goal
-from stfem.mesh import (BoundaryTag, build_box_mesh, build_region_mesh,
-                        uniform_refine)
+from stfem.mesh import build_box_mesh, build_region_mesh, uniform_refine
 from stfem.problems import smooth_problem
 from stfem.quadrature import simplex_rule
 from stfem.solvers import (LinearSolverConfig, NewtonConfig, newton_solve,
@@ -62,8 +61,14 @@ def final_time_l2_error(space, u, exact_value):
     rule = simplex_rule(D - 1, 2 * space.degree + 4)
     _jac, inv_jac_t, _det = space.geometry()
     err_sq = 0.0
-    for facet, elem, _tag in mesh.boundary_facets(BoundaryTag.TOP):
-        F = mesh.vertices[list(facet)]
+    # top facets from the element-local facets, not the mesh's boundary table
+    top_facets = [(sorted(verts[:i] + verts[i + 1:]), elem)
+                  for elem, verts in enumerate(mesh.elements.tolist())
+                  for i in range(D + 1)
+                  if np.all(mesh.vertices[verts[:i] + verts[i + 1:], -1]
+                            == 1.0)]
+    for facet, elem in top_facets:
+        F = mesh.vertices[facet]
         E = F[1:] - F[:1]
         scale = np.sqrt(abs(np.linalg.det(E @ E.T)))
         phys = F[0] + rule.points @ E

@@ -3,8 +3,8 @@ import pytest
 
 from stfem.goals import (FinalTimeIntegralGoal, GoalError, RegionEnergyGoal,
                          eval_goal, goal_derivative)
-from stfem.mesh import (BoundaryTag, build_box_mesh, build_region_mesh,
-                        diamond_region, refine, uniform_refine)
+from stfem.mesh import (build_box_mesh, build_region_mesh, diamond_region,
+                        refine, uniform_refine)
 from stfem.problems import smooth_product_solution
 from stfem.quadrature import simplex_rule
 from stfem.spaces import (FeFunction, FeSpace, interpolate, tabulate_shape,
@@ -185,8 +185,14 @@ def test_final_time_goal_matches_facet_loop(d, degree):
     w = np.random.default_rng(12).normal(size=V.n_dofs)
     g = np.zeros(V.n_dofs)
     loc = np.zeros(mesh.n_elements)
-    for facet, elem, _tag in mesh.boundary_facets(BoundaryTag.TOP):
-        F = mesh.vertices[list(facet)]
+    # top facets from the element-local facets, not the mesh's boundary table
+    top_facets = [(sorted(verts[:i] + verts[i + 1:]), elem)
+                  for elem, verts in enumerate(mesh.elements.tolist())
+                  for i in range(d + 2)
+                  if np.all(mesh.vertices[verts[:i] + verts[i + 1:], -1]
+                            == 1.0)]
+    for facet, elem in top_facets:
+        F = mesh.vertices[facet]
         E = F[1:] - F[:1]
         scale = np.sqrt(abs(np.linalg.det(E @ E.T)))
         x0 = mesh.vertices[mesh.elements[elem, 0]]

@@ -1,9 +1,57 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from stfem.mesh import (BoundaryTag, MeshError, build_box_mesh,
-                        build_region_mesh, classify_boundary, diamond_region,
+from stfem.mesh import (GEOM_TOL, BoundaryTag, MeshError, SimplicialMesh,
+                        build_box_mesh, build_region_mesh, diamond_region,
                         octahedron_region, refine, uniform_refine)
+from stfem.spaces import FeSpace
+
+
+def boundary_dict_loop(mesh):
+    """The per-mesh facet dictionary and boundary tagging loop that the array
+    table replaced, kept as the reference: (facet, owner, tag) of every
+    single-owner facet, in the dictionary's first-appearance order."""
+    fmap = {}
+    for e, verts in enumerate(mesh.elements.tolist()):
+        for loc in range(mesh.dim + 1):
+            facet = tuple(sorted(verts[:loc] + verts[loc + 1:]))
+            fmap.setdefault(facet, []).append(e)
+    boundary = []
+    for facet, owners in fmap.items():
+        if len(owners) != 1:
+            continue
+        coords = mesh.vertices[list(facet)]
+        t = coords[:, -1]
+        if np.all(np.abs(t) <= GEOM_TOL):
+            tag = BoundaryTag.BOTTOM
+        elif np.all(np.abs(t - 1.0) <= GEOM_TOL):
+            tag = BoundaryTag.TOP
+        else:
+            assert any(np.all(np.abs(x) <= GEOM_TOL)
+                       or np.all(np.abs(x - 1.0) <= GEOM_TOL)
+                       for x in coords[:, :-1].T), facet
+            tag = BoundaryTag.LATERAL
+        boundary.append((facet, owners[0], tag))
+    return boundary
+
+
+def refined_mesh(d, kind):
+    """A randomly refined box, reflected-box or region-aligned mesh."""
+    if kind == "box":
+        mesh = build_box_mesh(d, 2)
+    elif kind == "reflected":
+        mesh = build_box_mesh(d, 2, reflected=True)
+    else:
+        mesh, _region = build_region_mesh(d)
+    rng = np.random.default_rng(17)
+    for _ in range(2):
+        mesh = refine(mesh, rng.choice(mesh.n_elements,
+                                       size=max(1, mesh.n_elements // 4),
+                                       replace=False))
+    return mesh
 
 
 def test_box_mesh_counts_d1():
@@ -31,17 +79,15 @@ def test_box_mesh_rejects_bad_dimension():
 
 
 def test_boundary_classification_d1():
-    tags = classify_boundary(build_box_mesh(1, 1))
-    counts = {t: 0 for t in BoundaryTag}
-    for t in tags.values():
-        counts[t] += 1
+    _facets, _owners, tags = build_box_mesh(1, 1).boundary_facets()
+    counts = {t: np.count_nonzero(tags == t) for t in BoundaryTag}
     assert counts[BoundaryTag.BOTTOM] == 1
     assert counts[BoundaryTag.TOP] == 1
     assert counts[BoundaryTag.LATERAL] == 2
     assert len(tags) == 4
 
-    tags2 = classify_boundary(build_box_mesh(1, 2))
-    vals = list(tags2.values())
+    _facets, _owners, tags2 = build_box_mesh(1, 2).boundary_facets()
+    vals = tags2.tolist()
     assert vals.count(BoundaryTag.BOTTOM) == 2
     assert vals.count(BoundaryTag.TOP) == 2
     assert vals.count(BoundaryTag.LATERAL) == 4
@@ -49,9 +95,10 @@ def test_boundary_classification_d1():
 
 def test_interior_facet_tag():
     m = build_box_mesh(1, 1)
-    diag = tuple(sorted(set(m.elements[0]) & set(m.elements[1])))
+    diag = sorted(set(m.elements[0].tolist()) & set(m.elements[1].tolist()))
     assert len(diag) == 2
-    assert m.facet_tag(diag) == BoundaryTag.INTERIOR
+    facets, _owners, _tags = m.boundary_facets()
+    assert diag not in facets.tolist()
 
 
 def test_refine_marked_bisected_and_conforming():
@@ -195,15 +242,91 @@ def test_refinement_edge_is_stored_edge():
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_facet_map_matches_loop_and_is_cached(d):
-    m = build_box_mesh(d, 2)
-    m = refine(m, np.arange(0, m.n_elements, 3))
-    expected = {}
-    for e, verts in enumerate(m.elements):
-        for loc in range(m.dim + 1):
-            facet = tuple(sorted(int(v) for v in np.delete(verts, loc)))
-            expected.setdefault(facet, []).append((e, loc))
-    fmap = m.facet_map()
-    assert fmap == expected
-    assert list(fmap) == list(expected)  # insertion order, element by element
-    assert m.facet_map() is fmap
+def test_boundary_facets_match_loop_and_are_cached(d):
+    # facets, first-appearance order, owners and tags of the array table
+    # against the dictionary loop, on locally refined meshes
+    for kind in ("box", "reflected", "region"):
+        mesh = refined_mesh(d, kind)
+        expected = boundary_dict_loop(mesh)
+        facets, owners, tags = mesh.boundary_facets()
+        assert np.array_equal(facets, [f for f, _e, _t in expected]), kind
+        assert np.array_equal(owners, [e for _f, e, _t in expected]), kind
+        assert np.array_equal(tags, [t for _f, _e, t in expected]), kind
+        assert mesh.boundary_facets()[0] is facets
+        assert not facets.flags.writeable
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("kind", ["box", "reflected", "region"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_constrained_mask_matches_facet_set_rule(d, kind, degree):
+    # the old rule: vertices of lateral and bottom boundary facets, and for
+    # P2 the edge midpoints on a box face whose end points are both such
+    # vertices
+    mesh = refined_mesh(d, kind)
+    boundary = boundary_dict_loop(mesh)
+    V = FeSpace(mesh, degree)
+    mask = np.zeros(V.n_dofs, dtype=bool)
+    for facet, _e, tag in boundary:
+        if tag in (BoundaryTag.LATERAL, BoundaryTag.BOTTOM):
+            mask[list(facet)] = True
+    if degree == 2:
+        nv = mesh.n_vertices
+        pairs, _ = mesh.edge_table()
+        mids = V.dof_coords[nv:]
+        on_face = np.abs(mids[:, -1]) <= 1e-12
+        for x in mids[:, :-1].T:
+            on_face |= (np.abs(x) <= 1e-12) | (np.abs(x - 1.0) <= 1e-12)
+        mask[nv:] = mask[pairs[:, 0]] & mask[pairs[:, 1]] & on_face
+    assert np.array_equal(V.constrained, mask)
+
+
+def hanging_mesh():
+    """A 2x2 Kuhn grid with one element removed: its neighbours' facets are
+    single-owner facets inside the box."""
+    m = build_box_mesh(1, 2)
+    keep = np.delete(np.arange(m.n_elements), 3)
+    return SimplicialMesh(m.vertices, m.elements[keep], m.tags[keep])
+
+
+def test_facet_shared_by_three_elements_is_rejected():
+    m = build_box_mesh(1, 1)
+    dup = SimplicialMesh(m.vertices, np.vstack([m.elements, m.elements[:1]]),
+                         np.append(m.tags, m.tags[0]))
+    with pytest.raises(MeshError, match="shared by 3 elements"):
+        dup.check_conforming()
+
+
+def test_hanging_facet_is_rejected():
+    with pytest.raises(MeshError, match="hanging facet"):
+        hanging_mesh().check_conforming()
+    with pytest.raises(MeshError, match="hanging facet"):
+        FeSpace(hanging_mesh(), 1)
+
+
+def test_inverted_element_fails_the_volume_check():
+    m = build_box_mesh(1, 2)
+    centre = int(np.flatnonzero(np.all(m.vertices == 0.5, axis=1))[0])
+    verts = m.vertices.copy()
+    verts[centre] = [0.95, 0.05]  # outside its vertex star
+    moved = SimplicialMesh(verts, m.elements, m.tags)
+    assert np.any(np.sign(moved.signed_volumes())
+                  != np.sign(m.signed_volumes()))
+    moved.boundary_facets()  # topologically still conforming
+    with pytest.raises(MeshError, match="volumes sum"):
+        moved.check_conforming()
+
+
+@pytest.mark.parametrize("step", [lambda m: refine(m, [0]),
+                                  lambda m: uniform_refine(m, 1)],
+                         ids=["refine", "uniform_refine"])
+def test_refined_mesh_does_not_keep_its_ancestors_alive(step):
+    m0 = build_box_mesh(1, 2)
+    level0 = weakref.ref(m0)
+    m1 = step(m0)
+    m2 = step(m1)
+    assert m1.parent_mesh() is m0 and m2.parent_mesh() is m1
+    del m0, m1
+    gc.collect()
+    assert level0() is None
+    assert m2.parent_mesh() is None

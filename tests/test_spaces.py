@@ -247,3 +247,13 @@ def test_transfer_requires_recorded_refinement():
     W = FeSpace(build_box_mesh(1, 4), 1)
     with pytest.raises(ValueError):
         transfer(zero_function(V), W)
+
+
+def test_transfer_rejects_a_mesh_that_is_not_its_parent():
+    mesh = build_box_mesh(1, 2)
+    child = refine(mesh, [0])
+    grandchild = refine(child, [0])
+    assert grandchild.parent_mesh() is child
+    transfer(zero_function(FeSpace(child, 1)), FeSpace(grandchild, 1))
+    with pytest.raises(ValueError):
+        transfer(zero_function(FeSpace(mesh, 1)), FeSpace(grandchild, 1))
