@@ -5,6 +5,11 @@ previous level by nested iteration), the linear adjoint problem, and their
 enriched counterparts, localizes the dual-weighted residual estimator, marks a
 minimal bulk of elements, and refines.  Uniform mode refines everything and
 skips the estimation stages.
+
+The enriched primal Newton is warm-started too: bisection keeps the degree-2
+spaces nested, so the previous level's enriched solution transfers exactly to
+the refined mesh.  The first level, and any level whose previous enriched
+Newton did not converge, starts from the injected primal solution instead.
 """
 
 from __future__ import annotations
@@ -80,6 +85,9 @@ def doerfler_mark(indicators: np.ndarray, theta: float) -> np.ndarray:
 
     Elements are taken in order of decreasing magnitude; the returned set is
     minimal: dropping its smallest member breaks the coverage condition.
+    Equal magnitudes are taken lowest element index first (stable sort), so
+    a rounding-level change in two tied indicators, e.g. on mirror-image
+    elements, can swap which of them is marked.
     """
     ind = np.abs(np.asarray(indicators, dtype=float))
     if not np.all(np.isfinite(ind)):
@@ -116,6 +124,7 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
     lcfg = lcfg or LinearSolverConfig()
     records = []
     u_prev = None
+    u2_prev = None  # last converged enriched solution, for nested iteration
     u = None
     all_ok = True
 
@@ -153,8 +162,13 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
             z, zres = solve_adjoint(space, u, goal, prob, lcfg, order)
             rec.inner_iters += zres.iters
             space2 = enrich(space)
-            u2, stats2 = newton_solve(prob, space2, inject(u, space2),
-                                      ncfg, lcfg, order)
+            if u2_prev is not None:
+                init2 = transfer(u2_prev, space2)
+                init2.coeffs[space2.constrained] = 0.0
+            else:
+                init2 = inject(u, space2)
+            u2, stats2 = newton_solve(prob, space2, init2, ncfg, lcfg, order)
+            u2_prev = u2 if stats2.converged else None
             z2, z2res = solve_adjoint(space2, u2, goal, prob, lcfg, order)
             rec.inner_iters += stats2.total_inner_iters + z2res.iters
             all_ok = all_ok and stats2.converged \

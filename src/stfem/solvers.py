@@ -260,5 +260,5 @@ def solve_adjoint(space: FeSpace, u: FeFunction, goal,
     lcfg = lcfg or LinearSolverConfig()
     g = goal.gradient(space, u)
     K = assemble_jacobian(space, u, prob, order)
-    res = linear_solve(sp.csr_matrix(K.T), g, lcfg)
+    res = linear_solve(K.T, g, lcfg)
     return FeFunction(space, res.x), res

@@ -7,6 +7,7 @@ from stfem.goals import FinalTimeIntegralGoal
 from stfem.mesh import build_box_mesh
 from stfem.problems import smooth_problem
 from stfem.solvers import LinearSolverConfig, NewtonConfig
+from stfem.spaces import inject, transfer
 
 DIRECT = LinearSolverConfig(kind="direct")
 EXACT_GOAL_D1 = 2.0 * np.e / np.pi
@@ -17,6 +18,8 @@ def test_doerfler_examples():
     assert doerfler_mark([5.0, 1.0, 1.0, 1.0], 0.5).tolist() == [0]
     assert doerfler_mark([1.0, 0.0, 2.0, 0.0], 1.0).tolist() == [0, 2]
     assert doerfler_mark([0.0, 0.0], 0.5).size == 0
+    # ties go to the lowest element index
+    assert doerfler_mark([1.0, 1.0, 1.0, 1.0], 0.5).tolist() == [0, 1]
 
 
 def test_doerfler_uses_magnitudes():
@@ -134,3 +137,91 @@ def test_capped_adjoint_gmres_fails_the_run(monkeypatch):
 
     assert main(["--preset", "linear_goal", "--max-dofs", "50",
                  "--max-levels", "2"]) == 1
+
+
+def record_newton_starts(monkeypatch, unconverged_p2_levels=()):
+    """Wrap the loop's Newton solver; returns (degree, start, solution) per
+    call, reporting the enriched solves of the given levels unconverged."""
+    from stfem import adaptivity
+
+    newton_solve = adaptivity.newton_solve
+    calls = []
+
+    def recording(prob, space, init, *args, **kwargs):
+        u, stats = newton_solve(prob, space, init, *args, **kwargs)
+        level = sum(1 for k, _, _ in calls if k == space.degree)
+        if space.degree == 2 and level in unconverged_p2_levels:
+            stats.converged = False
+        calls.append((space.degree, init.copy(), u))
+        return u, stats
+
+    monkeypatch.setattr(adaptivity, "newton_solve", recording)
+    return calls
+
+
+def final_time_loop_d1(max_levels, max_dofs=400):
+    prob = smooth_problem(1, p=4.0, eps=1e-5)
+    prob.exact_goal = EXACT_GOAL_D1
+    cfg = AdaptiveConfig(mode="dwr", theta=0.5, max_dofs=max_dofs,
+                         max_levels=max_levels)
+    return adaptive_loop(prob, FinalTimeIntegralGoal(), build_box_mesh(1, 2),
+                         cfg, lcfg=DIRECT)
+
+
+def warm_start(u2_prev, V2):
+    """The transferred enriched solution with zeros on constrained dofs."""
+    expected = transfer(u2_prev, V2).coeffs
+    expected[V2.constrained] = 0.0
+    return expected
+
+
+def test_enriched_newton_starts_from_the_previous_enriched_solution(
+        monkeypatch):
+    calls = record_newton_starts(monkeypatch)
+    result = final_time_loop_d1(max_levels=4)
+    assert result.converged and len(result.records) == 4
+    p1 = [u for k, _, u in calls if k == 1]
+    p2 = [(init, u) for k, init, u in calls if k == 2]
+    init, _ = p2[0]
+    assert np.array_equal(init.coeffs, inject(p1[0], init.space).coeffs)
+    for level in range(1, 4):
+        init, _ = p2[level]
+        assert np.array_equal(init.coeffs,
+                              warm_start(p2[level - 1][1], init.space))
+
+
+def test_unconverged_enriched_solve_falls_back_to_injection(monkeypatch):
+    calls = record_newton_starts(monkeypatch, unconverged_p2_levels=(0,))
+    result = final_time_loop_d1(max_levels=3)
+    assert not result.converged and len(result.records) == 3
+    p1 = [u for k, _, u in calls if k == 1]
+    p2 = [(init, u) for k, init, u in calls if k == 2]
+    init, _ = p2[1]
+    assert np.array_equal(init.coeffs, inject(p1[1], init.space).coeffs)
+    init, _ = p2[2]
+    assert np.array_equal(init.coeffs, warm_start(p2[1][1], init.space))
+
+
+def test_warm_and_injected_enriched_starts_give_the_same_estimate(
+        monkeypatch):
+    from stfem import adaptivity, dwr, solvers
+
+    pairs = []
+
+    def both_starts(prob, goal, u, z, u2, z2, order=None):
+        bd = dwr.estimate(prob, goal, u, z, u2, z2, order)
+        V2 = u2.space
+        u2i, stats = solvers.newton_solve(prob, V2, inject(u, V2),
+                                          NewtonConfig(), DIRECT, order)
+        z2i, zres = solvers.solve_adjoint(V2, u2i, goal, prob, DIRECT, order)
+        assert stats.converged and zres.converged
+        cold = dwr.estimate(prob, goal, u, z, u2i, z2i, order)
+        pairs.append((bd.eta_h, cold.eta_h))
+        return bd
+
+    monkeypatch.setattr(adaptivity, "estimate", both_starts)
+    result = final_time_loop_d1(max_levels=25)
+    assert result.converged
+    assert len(pairs) == len(result.records) >= 8
+    for warm, cold in pairs:
+        assert warm == pytest.approx(cold, rel=1e-7)

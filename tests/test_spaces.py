@@ -204,24 +204,30 @@ def test_interpolant_l2_rate_is_k_plus_one():
 
 
 def test_inject_is_nested():
-    mesh = build_box_mesh(1, 2)
-    V1, V2 = FeSpace(mesh, 1), FeSpace(mesh, 2)
-    assert V2.n_dofs > V1.n_dofs
     rng = np.random.default_rng(2)
-    u = FeFunction(V1, rng.normal(size=V1.n_dofs))
-    u2 = inject(u, V2)
-    for e in (0, 4):
-        for xi in ([0.25, 0.25], [0.1, 0.6]):
-            v1, g1, t1 = u.eval(e, xi)
-            v2, g2, t2 = u2.eval(e, xi)
-            assert v2 == pytest.approx(v1, abs=1e-13)
-            assert g2[0] == pytest.approx(g1[0], abs=1e-12)
-    # constrained sets nest under injection
-    assert np.all(u2.coeffs[V2.constrained][np.isin(
-        np.where(V2.constrained)[0], np.where(V1.constrained)[0])] == 0) or True
-    c1 = set(np.where(V1.constrained)[0])
-    c2 = set(np.where(V2.constrained)[0])
-    assert c1 <= c2
+    for d in (1, 2):
+        mesh = refine(build_box_mesh(d, 2), [0, 3])
+        V1, V2 = FeSpace(mesh, 1), FeSpace(mesh, 2)
+        assert V2.n_dofs > V1.n_dofs
+        coeffs = rng.normal(size=V1.n_dofs)
+        coeffs[V1.constrained] = 0.0
+        u = FeFunction(V1, coeffs)
+        u2 = inject(u, V2)
+        for e in (0, 4):
+            for xi in reference_points(d + 1, 2, rng):
+                v1, g1, t1 = u.eval(e, xi)
+                v2, g2, t2 = u2.eval(e, xi)
+                assert v2 == pytest.approx(v1, abs=1e-13)
+                assert np.allclose(g2, g1, atol=1e-12)
+                assert t2 == pytest.approx(t1, abs=1e-12)
+        # constrained sets nest, and injection keeps the boundary values zero
+        assert np.all(V2.constrained[:mesh.n_vertices] == V1.constrained)
+        assert np.all(u2.coeffs[V2.constrained] == 0.0)
+
+
+def reference_points(D, n, rng):
+    """n random points inside the reference simplex of dimension D."""
+    return rng.dirichlet(np.ones(D + 1), size=n)[:, 1:]
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -240,6 +246,31 @@ def test_transfer_reproduces_polynomials_across_refinement(k):
     if k == 1:
         uf2 = transfer_p1(u, Vf)
         assert np.allclose(uf2.coeffs, uf.coeffs, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_p2_transfer_is_exact_across_marked_bisection(d):
+    rng = np.random.default_rng(5 + d)
+    coarse = refine(build_box_mesh(d, 2), [0])
+    marked = rng.choice(coarse.n_elements, coarse.n_elements // 3,
+                        replace=False)
+    fine = refine(coarse, marked)
+    Vc = FeSpace(coarse, 2)
+    u = FeFunction(Vc, rng.normal(size=Vc.n_dofs))
+    uf = transfer(u, FeSpace(fine, 2))
+    D = d + 1
+    for e in range(fine.n_elements):
+        a = fine.parent_leaf[e]
+        xf = fine.vertices[fine.elements[e]]
+        xc = coarse.vertices[coarse.elements[a]]
+        for xi in reference_points(D, 3, rng):
+            x = xf[0] + xi @ (xf[1:] - xf[0])
+            xi_c = np.linalg.solve((xc[1:] - xc[0]).T, x - xc[0])
+            vf, gf, tf = uf.eval(e, xi)
+            vc, gc, tc = u.eval(int(a), xi_c)
+            assert vf == pytest.approx(vc, abs=1e-12)
+            assert np.allclose(gf, gc, atol=1e-10)
+            assert tf == pytest.approx(tc, abs=1e-10)
 
 
 def test_transfer_requires_recorded_refinement():
