@@ -20,6 +20,6 @@ from .solvers import (Ilu0, LinearSolveResult, LinearSolverConfig,
                       NewtonConfig, SolveStats, gmres, linear_solve,
                       newton_solve, random_initial_guess, solve_adjoint)
 from .spaces import (FeFunction, FeSpace, error_norms, inject, interpolate,
-                     tabulate_shape, transfer, transfer_p1, zero_function)
+                     tabulate_shape, transfer, zero_function)
 
 __version__ = "0.1.0"

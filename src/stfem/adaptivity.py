@@ -136,7 +136,6 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
 
         if u_prev is not None:
             init = transfer(u_prev, space)
-            init.coeffs[space.constrained] = 0.0
         else:
             init = random_initial_guess(space, seed=cfg.seed)
         u, stats = newton_solve(prob, space, init, ncfg, lcfg, order)
@@ -164,7 +163,6 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
             space2 = enrich(space)
             if u2_prev is not None:
                 init2 = transfer(u2_prev, space2)
-                init2.coeffs[space2.constrained] = 0.0
             else:
                 init2 = inject(u, space2)
             u2, stats2 = newton_solve(prob, space2, init2, ncfg, lcfg, order)

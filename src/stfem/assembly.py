@@ -9,7 +9,10 @@ Rows and columns of constrained dofs are replaced by identity, matching the
 homogeneous boundary and initial conditions.  Every form is contracted on
 the reference element: one GEMM against tables shared by all elements
 (``FeSpace.batch``), with each element's affine map applied to the
-point data (Cuvelier, Japhet, Scarella, BIT 56 (2016)).
+point data (Cuvelier, Japhet, Scarella, BIT 56 (2016)).  A form meets its
+test function only through these element vectors: the element values that
+localize the error estimator contract them with the test function's element
+coefficients, which are never evaluated at quadrature points.
 """
 
 from __future__ import annotations
@@ -145,22 +148,20 @@ def jacobian_form_element_values(space: FeSpace, u: FeFunction,
     """Per-element values of the linearized form at u in a given direction.
 
     Computes int_e [ (dw/dt) z + (flux'(grad_x u) grad_x w) . grad_x z ] for
-    the functions w, z with coefficient vectors ``direction`` and ``test``.
-    Summing over elements gives the full bilinear form without boundary
-    modifications, which is what weighted residual estimates need.
+    the functions w, z with coefficient vectors ``direction`` and ``test``:
+    the element vectors of the form in w, contracted with z's element
+    coefficients.  Summing over elements gives the full bilinear form without
+    boundary modifications, which is what weighted residual estimates need.
     """
     if order is None:
         order = space.default_order()
     b, gx, _ut = _state(space, u, prob, order)
+    _vals, wg = FeFunction(space, direction).at_quadrature(order)
     A = flux_jacobian(gx, prob.p, prob.eps)
-    w = FeFunction(space, direction)
-    z = FeFunction(space, test)
-    _, wg = w.at_quadrature(order)
-    zv, zg = z.at_quadrature(order)
-    scale = b["scale"]
-    out = np.einsum("eq,eq,eq->e", scale, wg[..., -1], zv)
-    out += np.einsum("eq,eqij,eqj,eqi->e", scale, A, wg[..., :-1], zg[..., :-1])
-    return out
+    v = (b["scale"] * wg[..., -1]) @ b["values"]
+    v += space.integrate_grad_x(order,
+                                np.einsum("eqij,eqj->eqi", A, wg[..., :-1]))
+    return np.einsum("ea,ea->e", v, test[space.elem_dofs])
 
 
 def residual_form_element_values(space: FeSpace, u: FeFunction,
@@ -169,16 +170,8 @@ def residual_form_element_values(space: FeSpace, u: FeFunction,
     """Per-element values of the residual form at u tested with a weight.
 
     Computes int_e [ (du/dt) w + flux(grad_x u) . grad_x w - f w ] where w is
-    the function with coefficient vector ``weight``.
+    the function with coefficient vector ``weight``: the residual element
+    vectors contracted with w's element coefficients.
     """
-    if order is None:
-        order = space.default_order()
-    b, gx, ut = _state(space, u, prob, order)
-    f = space.source_values(prob.source, order)
-    q = flux(gx, prob.p, prob.eps)
-    wf = FeFunction(space, weight)
-    wv, wg = wf.at_quadrature(order)
-    scale = b["scale"]
-    out = np.einsum("eq,eq->e", scale, (ut - f) * wv)
-    out += np.einsum("eq,eqi,eqi->e", scale, q, wg[..., :-1])
-    return out
+    r = residual_element_vectors(space, u, prob, order)
+    return np.einsum("ea,ea->e", r, weight[space.elem_dofs])

@@ -221,15 +221,7 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(preset=args.preset, dim=args.dim, p=args.p,
-                       epsilon=args.epsilon, degree=args.degree,
-                       mode=args.mode, theta=args.theta,
-                       max_dofs=args.max_dofs, max_levels=args.max_levels,
-                       initial_cells=args.initial_cells, solver=args.solver,
-                       precond=args.precond, goal=args.goal,
-                       out_csv=args.out_csv, out_vtk_dir=args.out_vtk_dir,
-                       seed=args.seed)
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         return run(config)
     except (ValueError, MeshError) as exc:  # invalid configuration

@@ -140,17 +140,17 @@ class RegionEnergyGoal:
 
     def _weighted_gradient(self, space: FeSpace, u: FeFunction, order: int):
         """p |grad u|^(p-2) grad u at quadrature points, zero outside."""
-        b, gx, inside = self._grad_state(space, u, order)
+        _b, gx, inside = self._grad_state(space, u, order)
         norm2 = np.sum(gx * gx, axis=-1)
         dens = self.p * norm2 ** ((self.p - 2.0) / 2.0)
         dens = np.where(inside[:, None], dens, 0.0)
-        return b, dens[..., None] * gx
+        return dens[..., None] * gx
 
     def gradient(self, space: FeSpace, u: FeFunction,
                  order: int = None) -> np.ndarray:
         if order is None:
             order = 2 * space.degree + 4
-        _b, wgrad = self._weighted_gradient(space, u, order)
+        wgrad = self._weighted_gradient(space, u, order)
         g = np.zeros(space.n_dofs)
         np.add.at(g, space.elem_dofs, space.integrate_grad_x(order, wgrad))
         g[space.constrained] = 0.0
@@ -164,12 +164,13 @@ class RegionEnergyGoal:
     def derivative_element_values(self, space: FeSpace, u: FeFunction,
                                   weight: np.ndarray,
                                   order: int = None) -> np.ndarray:
+        """Per-element contributions of J'(u)(w): the element vectors that
+        ``gradient`` assembles, contracted with w's element coefficients."""
         if order is None:
             order = 2 * space.degree + 4
-        b, wgrad = self._weighted_gradient(space, u, order)
-        w = FeFunction(space, weight)
-        _wv, wg = w.at_quadrature(order)
-        return np.einsum("eq,eqi,eqi->e", b["scale"], wgrad, wg[..., :-1])
+        v = space.integrate_grad_x(order,
+                                   self._weighted_gradient(space, u, order))
+        return np.einsum("ea,ea->e", v, weight[space.elem_dofs])
 
 
 def eval_goal(goal, u: FeFunction) -> float:

@@ -6,6 +6,10 @@ of a tensor grid and refined by tagged newest-vertex bisection, which keeps the
 mesh conforming (no hanging nodes) and shape regular under arbitrary local
 refinement.
 
+Refined meshes record each element's ancestor in the input mesh
+(``parent_leaf``), which is all that carrying a function across refinement
+needs; no vertex genealogy is kept.
+
 Boundary conditions only need to know which face of the box a point lies on:
 :func:`box_faces` reads that from coordinates.  The boundary facets of a mesh
 and their tags (bottom t=0, top t=1, lateral) form one array table,
@@ -67,31 +71,25 @@ class SimplicialMesh:
         Bisection tag in {1, ..., D} (Maubach-style vertex ordering).
     generation : (n_elements,) int array
         Number of bisections separating the element from its root ancestor.
-    vertex_parents : (n_vertices, 2) int array
-        For vertices created as edge midpoints, the ids of the edge endpoints;
-        (-1, -1) for vertices of the initial grid.  Vertex ids are stable
-        across refinement, so functions transfer exactly to refined meshes.
     parent_leaf : (n_elements,) int array or None
         For meshes produced by :func:`refine`, the index of the element in the
         input mesh that each element descends from (identity for survivors).
     parent_mesh : weakref.ref or None
         For meshes produced by :func:`refine`, a weak reference to the input
         mesh, so that a refined mesh does not keep its ancestors alive.
+
+    No vertex genealogy is kept: functions move to a refined mesh through
+    ``parent_leaf`` alone (:func:`stfem.spaces.transfer`).
     """
 
     def __init__(self, vertices, elements, tags, generation=None,
-                 vertex_parents=None, parent_leaf=None):
+                 parent_leaf=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.elements = np.asarray(elements, dtype=np.int64)
         self.tags = np.asarray(tags, dtype=np.int64)
-        ne = self.elements.shape[0]
-        nv = self.vertices.shape[0]
         if generation is None:
-            generation = np.zeros(ne, dtype=np.int64)
+            generation = np.zeros(self.elements.shape[0], dtype=np.int64)
         self.generation = np.asarray(generation, dtype=np.int64)
-        if vertex_parents is None:
-            vertex_parents = np.full((nv, 2), -1, dtype=np.int64)
-        self.vertex_parents = np.asarray(vertex_parents, dtype=np.int64)
         self.parent_leaf = parent_leaf
         self.parent_mesh = None
         self._boundary = None
@@ -303,8 +301,8 @@ def refine(mesh: SimplicialMesh, marked) -> SimplicialMesh:
 
     Every marked element is bisected at least once; recursive closure
     bisections of neighbors keep the mesh free of hanging nodes.  Returns a
-    new mesh; the input mesh is not modified.  Vertex ids are preserved, new
-    midpoint vertices are appended with their parent edge recorded.
+    new mesh; the input mesh is not modified.  Vertex ids are preserved and
+    new midpoint vertices are appended.
     """
     if mesh.n_elements == 0:
         raise MeshError("cannot refine an empty mesh")
@@ -317,7 +315,6 @@ def refine(mesh: SimplicialMesh, marked) -> SimplicialMesh:
     D = mesh.dim
     ne0 = mesh.n_elements
     coords = [mesh.vertices[i] for i in range(mesh.n_vertices)]
-    vparents = [tuple(vp) for vp in mesh.vertex_parents]
 
     elems = [tuple(int(v) for v in row) for row in mesh.elements]
     tags = [int(t) for t in mesh.tags]
@@ -342,7 +339,6 @@ def refine(mesh: SimplicialMesh, marked) -> SimplicialMesh:
         if z is None:
             z = len(coords)
             coords.append(0.5 * (coords[key[0]] + coords[key[1]]))
-            vparents.append(key)
             midpoint[key] = z
         return z
 
@@ -405,7 +401,6 @@ def refine(mesh: SimplicialMesh, marked) -> SimplicialMesh:
         np.asarray([elems[e] for e in keep]),
         np.asarray([tags[e] for e in keep]),
         generation=np.asarray([gen[e] for e in keep]),
-        vertex_parents=np.asarray(vparents),
         parent_leaf=ancestors,
     )
     new.parent_mesh = weakref.ref(mesh)

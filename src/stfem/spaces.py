@@ -253,30 +253,14 @@ def inject(u: FeFunction, fine: FeSpace) -> FeFunction:
     return FeFunction(fine, coeffs)
 
 
-def transfer_p1(u: FeFunction, fine_space: FeSpace) -> FeFunction:
-    """Carry a degree-1 function to a space on a refinement of its mesh.
-
-    Exact for bisection refinements: every new vertex is the midpoint of an
-    edge of the previous mesh, processed in creation order.
-    """
-    if u.space.degree != 1 or fine_space.degree != 1:
-        raise ValueError("transfer_p1 expects degree-1 spaces")
-    fine = fine_space.mesh
-    nv_old = u.space.mesh.n_vertices
-    coeffs = np.empty(fine.n_vertices)
-    coeffs[:nv_old] = u.coeffs
-    for v in range(nv_old, fine.n_vertices):
-        a, b = fine.vertex_parents[v]
-        coeffs[v] = 0.5 * (coeffs[a] + coeffs[b])
-    return FeFunction(fine_space, coeffs)
-
-
 def transfer(u: FeFunction, fine_space: FeSpace) -> FeFunction:
     """Carry a function to a space on a refinement of its mesh, any degree.
 
-    Every fine dof node is evaluated through its element's coarse ancestor,
-    so the transfer is exact whenever the coarse function is polynomial on
-    each ancestor (always the case for bisection descendants).
+    The one transfer path, P1 included: every fine dof node is evaluated
+    once, through the coarse ancestor (``parent_leaf``) of the last fine
+    element listing it, so the transfer is exact whenever the coarse
+    function is polynomial on each ancestor (always the case for bisection
+    descendants).  No vertex genealogy is needed.
     """
     coarse = u.space
     fine = fine_space.mesh
@@ -284,20 +268,14 @@ def transfer(u: FeFunction, fine_space: FeSpace) -> FeFunction:
     if fine.parent_leaf is None or parent is not coarse.mesh:
         raise ValueError("fine mesh is not a recorded refinement of the "
                          "coarse function's mesh")
-    if coarse.degree == 1 and fine_space.degree == 1:
-        return transfer_p1(u, fine_space)
     _jc, inv_jac_t_c, _dc = coarse.geometry()
-    anc = fine.parent_leaf
-    nodes = fine_space.dof_coords[fine_space.elem_dofs]  # (ne, nloc, D)
+    owner = np.empty(fine_space.n_dofs, dtype=np.int64)
+    owner[fine_space.elem_dofs.ravel()] = np.arange(fine_space.elem_dofs.size)
+    anc = fine.parent_leaf[owner // fine_space.n_local]
     x0 = coarse.mesh.vertices[coarse.mesh.elements[anc, 0]]
-    ref = np.einsum("eij,enj->eni", np.swapaxes(inv_jac_t_c[anc], 1, 2),
-                    nodes - x0[:, None, :])
-    ne, nloc, D = ref.shape
-    vals, _ = tabulate_shape(D, coarse.degree, ref.reshape(-1, D))
-    uc = u.coeffs[coarse.elem_dofs[anc]]  # (ne, nloc_c)
-    nodal = np.einsum("ena,ea->en", vals.reshape(ne, nloc, -1), uc)
-    coeffs = np.empty(fine_space.n_dofs)
-    coeffs[fine_space.elem_dofs.ravel()] = nodal.ravel()
+    ref = np.einsum("nj,nji->ni", fine_space.dof_coords - x0, inv_jac_t_c[anc])
+    vals, _ = tabulate_shape(fine.dim, coarse.degree, ref)
+    coeffs = np.einsum("na,na->n", vals, u.coeffs[coarse.elem_dofs[anc]])
     return FeFunction(fine_space, coeffs)
 
 

@@ -20,7 +20,7 @@ from stfem.quadrature import simplex_rule
 from stfem.solvers import (LinearSolverConfig, NewtonConfig, newton_solve,
                            random_initial_guess, solve_adjoint)
 from stfem.spaces import (FeFunction, FeSpace, inject, tabulate_shape,
-                          transfer_p1)
+                          transfer)
 
 DIRECT = LinearSolverConfig(kind="direct")
 GOAL_FT = {1: 2.0 * np.e / np.pi, 2: 4.0 * np.e / np.pi ** 2}
@@ -374,7 +374,7 @@ def test_c09_nested_newton_counts():
         for _ in range(3):
             mesh = uniform_refine(mesh, 1)
             V = FeSpace(mesh, 1)
-            init = transfer_p1(u, V)
+            init = transfer(u, V)
             init.coeffs[V.constrained] = 0.0
             u, st = newton_solve(prob, V, init, ncfg, DIRECT)
             counts.append(st.newton_iters)

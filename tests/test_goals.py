@@ -137,6 +137,12 @@ def test_region_gradient_matches_physical_gradient_einsum(d, degree):
     ref[V.constrained] = 0.0
     got = goal.gradient(V, u, order)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the element split of J'(u)(w), against the same per-point reference
+    w = np.random.default_rng(10).normal(size=V.n_dofs)
+    wg = np.einsum("eqai,ea->eqi", gphi, w[V.elem_dofs])
+    ref_e = np.einsum("eq,eqi,eqi->e", b["scale"], dens[..., None] * gx, wg)
+    got_e = goal.derivative_element_values(V, u, w, order)
+    assert np.abs(got_e - ref_e).max() <= 1e-12 * np.abs(ref_e).max()
 
 
 def test_unaligned_region_rejected():

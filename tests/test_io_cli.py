@@ -88,6 +88,12 @@ def test_parser_rejects_unknown_flags():
     assert exc.value.code == 2
 
 
+def test_parser_defaults_match_run_config_defaults():
+    # main builds RunConfig(**vars(args)), so every parsed field must be a
+    # RunConfig field with the same default
+    assert RunConfig(**vars(build_parser().parse_args([]))) == RunConfig()
+
+
 def test_parser_rejects_bad_choice():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["--preset", "bogus"])

@@ -12,7 +12,7 @@ from stfem.solvers import (LinearSolverConfig, NewtonConfig, gmres,
                            linear_solve, newton_solve, random_initial_guess,
                            solve_adjoint)
 from stfem.goals import FinalTimeIntegralGoal
-from stfem.spaces import FeFunction, FeSpace, inject, zero_function
+from stfem.spaces import FeFunction, FeSpace, inject, transfer, zero_function
 
 DIRECT = LinearSolverConfig(kind="direct")
 GMRES_ILU = LinearSolverConfig(kind="gmres", preconditioner="ilu0")
@@ -214,14 +214,13 @@ def test_transpose_consistency():
 
 
 def test_nested_iteration_reduces_newton_cost():
-    from stfem.spaces import transfer_p1
     prob = smooth_problem(1, p=4.0, eps=1.0)
     mesh = build_box_mesh(1, 4)
     V = FeSpace(mesh, 1)
     u, s0 = newton_solve(prob, V, random_initial_guess(V, seed=0), lcfg=DIRECT)
     mesh2 = uniform_refine(mesh, 2)
     V2 = FeSpace(mesh2, 1)
-    init = transfer_p1(u, V2)
+    init = transfer(u, V2)
     init.coeffs[V2.constrained] = 0.0
     _, s_nested = newton_solve(prob, V2, init, lcfg=DIRECT)
     _, s_cold = newton_solve(prob, V2, random_initial_guess(V2, seed=0),

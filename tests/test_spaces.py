@@ -6,7 +6,7 @@ import pytest
 from stfem.mesh import build_box_mesh, refine, uniform_refine
 from stfem.problems import smooth_product_solution
 from stfem.spaces import (FeFunction, FeSpace, error_norms, inject,
-                          interpolate, transfer, transfer_p1, zero_function)
+                          interpolate, transfer, zero_function)
 
 
 def test_dof_counts_and_constraints_two_triangles():
@@ -243,21 +243,19 @@ def test_transfer_reproduces_polynomials_across_refinement(k):
     Vf = FeSpace(fine, k)
     uf = transfer(u, Vf)
     assert np.allclose(uf.coeffs, interpolate(Vf, g).coeffs, atol=1e-13)
-    if k == 1:
-        uf2 = transfer_p1(u, Vf)
-        assert np.allclose(uf2.coeffs, uf.coeffs, atol=1e-14)
 
 
+@pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("d", [1, 2])
-def test_p2_transfer_is_exact_across_marked_bisection(d):
+def test_transfer_is_exact_across_marked_bisection(d, k):
     rng = np.random.default_rng(5 + d)
     coarse = refine(build_box_mesh(d, 2), [0])
     marked = rng.choice(coarse.n_elements, coarse.n_elements // 3,
                         replace=False)
     fine = refine(coarse, marked)
-    Vc = FeSpace(coarse, 2)
+    Vc = FeSpace(coarse, k)
     u = FeFunction(Vc, rng.normal(size=Vc.n_dofs))
-    uf = transfer(u, FeSpace(fine, 2))
+    uf = transfer(u, FeSpace(fine, k))
     D = d + 1
     for e in range(fine.n_elements):
         a = fine.parent_leaf[e]
