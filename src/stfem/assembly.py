@@ -13,9 +13,18 @@ point data (Cuvelier, Japhet, Scarella, BIT 56 (2016)).  A form meets its
 test function only through these element vectors: the element values that
 localize the error estimator contract them with the test function's element
 coefficients, which are never evaluated at quadrature points.
+
+A state's data at the quadrature points (``QuadratureState``: gradients,
+|grad_x u|^2 + eps^2 and its one fractional power) is computed once per
+Newton iterate and shared by every form evaluated there.  The Jacobian
+applies the flux derivative in rank-one form, a I + (p-2)(a/s) g g^T, and
+never stores it per point.  Matrices are summed by one ``np.bincount`` into
+the sparsity pattern that ``FeSpace.csr_pattern`` builds once per space.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +47,9 @@ def flux_jacobian(g: np.ndarray, p: float, eps: float) -> np.ndarray:
     """Derivative of the flux at g, shape (..., d, d).
 
     Equals a*I + (p-2)*b*g g^T with a = s^((p-2)/2), b = s^((p-4)/2),
-    s = |g|^2 + eps^2; symmetric and positive definite for eps > 0.
+    s = |g|^2 + eps^2; symmetric and positive definite for eps > 0.  Only
+    the manufactured source and the tests use it: the assembly applies the
+    same derivative in rank-one form and never stores it per point.
     """
     g = np.asarray(g, dtype=float)
     d = g.shape[-1]
@@ -50,57 +61,87 @@ def flux_jacobian(g: np.ndarray, p: float, eps: float) -> np.ndarray:
     return a[..., None, None] * eye + (p - 2.0) * b[..., None, None] * outer
 
 
-def _state(space: FeSpace, u: FeFunction, prob: ProblemDefinition, order: int):
+@dataclass(frozen=True)
+class QuadratureState:
+    """A function u at the quadrature points of one space and order: the
+    spatial gradients ``gx`` (ne, nq, d), the time derivative ``ut``
+    (ne, nq), ``s`` = |gx|^2 + eps^2 and ``a`` = s^((p-2)/2), so that
+    flux = a gx and flux' = a I + (p-2) (a/s) gx gx^T."""
+
+    u: FeFunction
+    prob: ProblemDefinition
+    order: int
+    gx: np.ndarray
+    ut: np.ndarray
+    s: np.ndarray
+    a: np.ndarray
+
+
+def quadrature_state(space: FeSpace, u, prob: ProblemDefinition,
+                     order: int = None) -> QuadratureState:
+    """The state of u at the quadrature points, evaluated once.
+
+    Every form of this module takes u as a ``FeFunction`` or as its state;
+    a state is returned as it is, after checking that it was evaluated on
+    this space, problem and order.
+    """
+    if order is None:
+        order = space.default_order()
+    if isinstance(u, QuadratureState):
+        if u.u.space is not space or u.order != order or u.prob is not prob:
+            raise ValueError("quadrature state belongs to another space, "
+                             "order or problem")
+        return u
     if u.space is not space:
         raise ValueError("function does not live on the given space")
     if space.mesh.spatial_dim != prob.d:
         raise ValueError("problem and space dimensions do not match")
-    b = space.batch(order)
     _vals, grads = u.at_quadrature(order)
-    return b, grads[..., :-1], grads[..., -1]
+    gx = grads[..., :-1]
+    s = np.einsum("eqi,eqi->eq", gx, gx) + prob.eps * prob.eps
+    return QuadratureState(u, prob, order, gx, grads[..., -1], s,
+                           s ** ((prob.p - 2.0) / 2.0))
 
 
-def residual_element_vectors(space: FeSpace, u: FeFunction,
-                             prob: ProblemDefinition, order: int = None) -> np.ndarray:
+def residual_element_vectors(space: FeSpace, u, prob: ProblemDefinition,
+                             order: int = None) -> np.ndarray:
     """Per-element residual contributions, shape (n_elements, n_local).
 
     No boundary conditions are applied; summing entry [e, a] into dof
     elem_dofs[e, a] gives the raw residual vector.
     """
-    if order is None:
-        order = space.default_order()
-    b, gx, ut = _state(space, u, prob, order)
-    f = space.source_values(prob.source, order)
-    r = (b["scale"] * (ut - f)) @ b["values"]
-    r += space.integrate_grad_x(order, flux(gx, prob.p, prob.eps))
+    st = quadrature_state(space, u, prob, order)
+    b = space.batch(st.order)
+    f = space.source_values(prob.source, st.order)
+    r = (b["scale"] * (st.ut - f)) @ b["values"]
+    r += space.integrate_grad_x(st.order, st.a[..., None] * st.gx)
     return r
 
 
-def assemble_residual(space: FeSpace, u: FeFunction, prob: ProblemDefinition,
+def assemble_residual(space: FeSpace, u, prob: ProblemDefinition,
                       order: int = None) -> np.ndarray:
     """Global residual with constrained entries set to zero."""
     r_loc = residual_element_vectors(space, u, prob, order)
-    r = np.zeros(space.n_dofs)
-    np.add.at(r, space.elem_dofs, r_loc)
+    r = np.bincount(space.elem_dofs.ravel(), r_loc.ravel(), space.n_dofs)
     r[space.constrained] = 0.0
     return r
 
 
 def _scatter_matrix(space: FeSpace, k_loc: np.ndarray,
                     dirichlet: bool) -> sp.csr_matrix:
-    """Sum element matrices into a CSR matrix.  With ``dirichlet``,
-    constrained rows and columns become identity after the one summation of
-    duplicates, so kept entries sum in the same order as without it."""
-    ed = space.elem_dofs
-    nloc = ed.shape[1]
-    rows = np.repeat(ed, nloc, axis=1).ravel()
-    cols = np.tile(ed, (1, nloc)).ravel()
-    K = sp.coo_matrix((k_loc.ravel(), (rows, cols)),
-                      shape=(space.n_dofs, space.n_dofs)).tocsr()
+    """Sum element matrices into a CSR matrix on the space's cached pattern.
+    With ``dirichlet``, constrained rows and columns become identity after
+    the one summation of duplicates, so kept entries sum in the same order as
+    without it; entries that are then zero are dropped."""
+    pat = space.csr_pattern()
+    data = np.bincount(pat["slot"], weights=k_loc.ravel(),
+                       minlength=len(pat["indices"]))
     if dirichlet:
-        rows = np.repeat(np.arange(space.n_dofs), np.diff(K.indptr))
-        keep = space.free[rows] & space.free[K.indices]
-        K.data = np.where(keep, K.data, rows == K.indices)
+        data[pat["fixed"]] = 0.0
+        data[pat["ident"]] = 1.0
+    K = sp.csr_matrix((data, pat["indices"].copy(), pat["indptr"].copy()),
+                      shape=(space.n_dofs, space.n_dofs))
+    if dirichlet:
         K.eliminate_zeros()
     return K
 
@@ -113,22 +154,24 @@ def _time_matrices(space: FeSpace, b: dict) -> np.ndarray:
         -1, nloc, nloc)
 
 
-def assemble_jacobian(space: FeSpace, u: FeFunction, prob: ProblemDefinition,
+def assemble_jacobian(space: FeSpace, u, prob: ProblemDefinition,
                       order: int = None, dirichlet: bool = True) -> sp.csr_matrix:
     """Newton Jacobian: time matrix plus linearized diffusion at u."""
-    if order is None:
-        order = space.default_order()
-    b, gx, _ut = _state(space, u, prob, order)
-    A = flux_jacobian(gx, prob.p, prob.eps)
-    A *= b["scale"][..., None, None]
+    st = quadrature_state(space, u, prob, order)
+    b = space.batch(st.order)
     _jac, inv_jac_t, _det = space.geometry()
-    js = inv_jac_t[:, :gx.shape[-1], :]  # (ne, d, D)
-    # the weighted flux Jacobian on the reference element, J_x^T (w A) J_x
-    # per point, then one GEMM against the gradient-pair table
-    B = np.einsum("eik,eqij,ejl->eqkl", js, A, js, optimize=True)
-    k_loc = _time_matrices(space, b)
-    k_loc += (B.reshape(len(B), -1) @ b["stiffness_table"]).reshape(
-        k_loc.shape)
+    js = inv_jac_t[:, :st.gx.shape[-1], :]  # (ne, d, D)
+    # J_x^T (w flux') J_x per point in rank-one form, with h = J_x^T gx:
+    # w a J_x^T J_x + w (p-2) (a/s) h h^T, laid out (ne, pair, nq) over the
+    # upper-triangle pairs of the stiffness table, then one GEMM against it
+    upper, lower = b["pairs"]
+    jst = np.swapaxes(js, 1, 2)
+    h = jst @ np.swapaxes(st.gx, 1, 2)  # (ne, D, nq)
+    c = b["scale"] * st.a
+    B = h[:, upper] * ((prob.p - 2.0) / st.s * c)[:, None, :] * h[:, lower]
+    B += c[:, None, :] * (jst @ js)[:, upper, lower, None]
+    k_loc = B.reshape(len(B), -1) @ b["stiffness_table"]
+    k_loc += _time_matrices(space, b).reshape(k_loc.shape)
     return _scatter_matrix(space, k_loc, dirichlet)
 
 
@@ -141,7 +184,7 @@ def assemble_time_matrix(space: FeSpace, order: int = None,
                            dirichlet)
 
 
-def jacobian_form_element_values(space: FeSpace, u: FeFunction,
+def jacobian_form_element_values(space: FeSpace, u,
                                  direction: np.ndarray, test: np.ndarray,
                                  prob: ProblemDefinition,
                                  order: int = None) -> np.ndarray:
@@ -153,18 +196,18 @@ def jacobian_form_element_values(space: FeSpace, u: FeFunction,
     coefficients.  Summing over elements gives the full bilinear form without
     boundary modifications, which is what weighted residual estimates need.
     """
-    if order is None:
-        order = space.default_order()
-    b, gx, _ut = _state(space, u, prob, order)
-    _vals, wg = FeFunction(space, direction).at_quadrature(order)
-    A = flux_jacobian(gx, prob.p, prob.eps)
+    st = quadrature_state(space, u, prob, order)
+    b = space.batch(st.order)
+    _vals, wg = FeFunction(space, direction).at_quadrature(st.order)
+    wx = wg[..., :-1]
+    c = (prob.p - 2.0) * st.a / st.s * np.einsum("eqi,eqi->eq", st.gx, wx)
     v = (b["scale"] * wg[..., -1]) @ b["values"]
-    v += space.integrate_grad_x(order,
-                                np.einsum("eqij,eqj->eqi", A, wg[..., :-1]))
+    v += space.integrate_grad_x(st.order, st.a[..., None] * wx
+                                + c[..., None] * st.gx)
     return np.einsum("ea,ea->e", v, test[space.elem_dofs])
 
 
-def residual_form_element_values(space: FeSpace, u: FeFunction,
+def residual_form_element_values(space: FeSpace, u,
                                  weight: np.ndarray, prob: ProblemDefinition,
                                  order: int = None) -> np.ndarray:
     """Per-element values of the residual form at u tested with a weight.

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import (assemble_jacobian, assemble_residual,
-                       jacobian_form_element_values,
+                       jacobian_form_element_values, quadrature_state,
                        residual_form_element_values)
 from .problems import ProblemDefinition
 from .spaces import FeFunction, FeSpace, inject
@@ -74,19 +74,22 @@ def estimate(prob: ProblemDefinition, goal, u: FeFunction, z: FeFunction,
     wz = z2.coeffs - zt.coeffs
     wu = u2.coeffs - ut.coeffs
 
+    # one quadrature state at inject(u) serves every form below
+    st = quadrature_state(space2, ut, prob, order)
+
     # global parts via assembled operators
-    r2 = assemble_residual(space2, ut, prob, order)
+    r2 = assemble_residual(space2, st, prob, order)
     eta_h_p = -float(r2 @ wz)
     eta_k = -float(r2 @ zt.coeffs)
-    K2 = assemble_jacobian(space2, ut, prob, order)
+    K2 = assemble_jacobian(space2, st, prob, order)
     jp = goal.derivative(space2, ut, FeFunction(space2, wu))
     eta_h_a = jp - float(zt.coeffs @ (K2 @ wu))
     eta_h = 0.5 * (eta_h_p + eta_h_a)
 
     # element-restricted split of the same forms
-    loc_p = -residual_form_element_values(space2, ut, wz, prob, order)
+    loc_p = -residual_form_element_values(space2, st, wz, prob, order)
     loc_a = goal.derivative_element_values(space2, ut, wu) \
-        - jacobian_form_element_values(space2, ut, wu, zt.coeffs, prob, order)
+        - jacobian_form_element_values(space2, st, wu, zt.coeffs, prob, order)
     local = 0.5 * (loc_p + loc_a)
 
     return EstimatorBreakdown(eta_h_p=eta_h_p, eta_h_a=eta_h_a, eta_h=eta_h,

@@ -19,7 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_jacobian, assemble_residual
+from .assembly import (assemble_jacobian, assemble_residual,
+                       quadrature_state)
 from .problems import ProblemDefinition
 from .spaces import FeFunction, FeSpace
 
@@ -219,12 +220,14 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
     lcfg = lcfg or LinearSolverConfig()
     u = init.copy()
     u.coeffs[space.constrained] = 0.0
-    r = assemble_residual(space, u, prob, order)
+    # the accepted trial's quadrature state serves the next Jacobian
+    state = quadrature_state(space, u, prob, order)
+    r = assemble_residual(space, state, prob, order)
     rnorm = np.linalg.norm(r)
     tol = max(ncfg.abs_tol, ncfg.rel_tol * rnorm)
     stats = SolveStats(residual_history=[rnorm])
     while rnorm > tol and stats.newton_iters < ncfg.max_iter:
-        K = assemble_jacobian(space, u, prob, order)
+        K = assemble_jacobian(space, state, prob, order)
         res = linear_solve(K, -r, lcfg)
         stats.total_inner_iters += res.iters
         if not res.converged:
@@ -233,9 +236,9 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
         lam = 1.0
         accepted = False
         for _ in range(ncfg.max_line_search_steps):
-            trial = u.coeffs + lam * w
-            r_trial = assemble_residual(space, FeFunction(space, trial),
-                                        prob, order)
+            trial = quadrature_state(
+                space, FeFunction(space, u.coeffs + lam * w), prob, order)
+            r_trial = assemble_residual(space, trial, prob, order)
             rt = np.linalg.norm(r_trial)
             if rt < rnorm:
                 accepted = True
@@ -243,7 +246,7 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
             lam *= 0.5
         if not accepted:
             break
-        u.coeffs = trial
+        u, state = trial.u, trial
         r, rnorm = r_trial, rt
         stats.newton_iters += 1
         stats.residual_history.append(rnorm)

@@ -59,18 +59,24 @@ def tabulate_shape(D: int, k: int, points: np.ndarray):
 def _reference_tables(D: int, k: int, order: int) -> dict:
     """Read-only reference-simplex tables at a quadrature rule, shared by all
     elements.  With R the reference gradients (nq, nloc, D): ``grad_table``
-    is R as (nloc, nq*D), ``test_table`` R as (nq*D, nloc), ``stiffness_table``
-    M[(q,k,l), (a,b)] = R[q,a,k] R[q,b,l] and ``time_table``
-    T[k, (a,b)] = sum_q w_q phi_a(q) R[q,b,k]."""
+    is R as (nloc, nq*D), ``test_table`` R as (nq*D, nloc), ``time_table``
+    T[k, (a,b)] = sum_q w_q phi_a(q) R[q,b,k] and ``stiffness_table``
+    S[(m,q), (a,b)] = (R[q,a,k] R[q,b,l] + R[q,a,l] R[q,b,k]) / (1 + [k=l])
+    over the index pairs m = (k, l) = ``pairs[:, m]``, k <= l: a symmetric
+    (D, D) field B per point meets it through its upper triangle only."""
     rule = simplex_rule(D, order)
     vals, R = tabulate_shape(D, k, rule.points)
     nq, nloc, _ = R.shape
+    upper, lower = np.triu_indices(D)
+    S = np.einsum("qak,qbl->klqab", R, R)
+    S = (S + S.transpose(1, 0, 2, 3, 4))[upper, lower]
+    S *= np.where(upper == lower, 0.5, 1.0)[:, None, None, None]
     tables = {
         "rule": rule, "values": vals, "ref_grads": R,
+        "pairs": np.array([upper, lower]),
         "grad_table": R.transpose(1, 0, 2).reshape(nloc, nq * D),
         "test_table": R.transpose(0, 2, 1).reshape(nq * D, nloc),
-        "stiffness_table": np.einsum("qak,qbl->qklab", R, R).reshape(
-            nq * D * D, nloc * nloc),
+        "stiffness_table": S.reshape(len(upper) * nq, nloc * nloc),
         "time_table": np.einsum("q,qa,qbk->kab", rule.weights, vals,
                                 R).reshape(D, nloc * nloc),
     }
@@ -118,6 +124,7 @@ class FeSpace:
         self._geom = None
         self._batch_cache = {}
         self._source_cache = {}
+        self._pattern = None
 
     @property
     def n_local(self) -> int:
@@ -156,6 +163,32 @@ class FeSpace:
             self._batch_cache[order] = {**tables, "points": phys,
                                         "scale": scale}
         return self._batch_cache[order]
+
+    def csr_pattern(self) -> dict:
+        """Sparsity pattern of the assembled matrices, built once per space.
+
+        A dict of read-only int32 arrays: ``slot`` (n_elements * n_local**2)
+        is the position in the CSR data of element matrix entry [e, a, b]
+        (row elem_dofs[e, a], column elem_dofs[e, b]); ``indptr`` and
+        ``indices`` (sorted within each row) are the pattern; ``fixed`` holds
+        the positions in a constrained row or column and ``ident`` the
+        constrained diagonal positions among them.
+        """
+        if self._pattern is None:
+            n, ed = self.n_dofs, self.elem_dofs.astype(np.int64)
+            keys = (ed[:, :, None] * n + ed[:, None, :]).ravel()
+            keys, slot = np.unique(keys, return_inverse=True)
+            rows, cols = np.divmod(keys, n)
+            fixed = np.flatnonzero(self.constrained[rows]
+                                   | self.constrained[cols])
+            self._pattern = {
+                "slot": slot, "indices": cols,
+                "indptr": np.searchsorted(rows, np.arange(n + 1)),
+                "fixed": fixed, "ident": fixed[rows[fixed] == cols[fixed]]}
+            for key, arr in self._pattern.items():
+                self._pattern[key] = arr = arr.astype(np.int32)
+                arr.flags.writeable = False
+        return self._pattern
 
     def integrate_grad_x(self, order: int, q: np.ndarray) -> np.ndarray:
         """Per-element quadrature of q . grad_x phi_a, (ne, nloc), for a

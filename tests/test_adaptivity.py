@@ -91,6 +91,40 @@ def test_dwr_loop_produces_estimators_and_refines_near_top():
     assert (bc[:, -1] > 0.75).mean() > 0.5
 
 
+# Per-level dofs, Newton iterations and inner iterations of the two DWR
+# benchmark loops at seed 7 (the final-time goal, p=4, eps=1e-5, theta=0.5):
+# d=2 with direct LU to 207 dofs, d=1 with GMRES and the "ilu0"
+# preconditioner to 107 dofs.  A change that moves them has changed the
+# solver path, not only its speed.
+SEED7_COUNTS = {
+    (2, "direct", "jacobi", 207): (
+        [27, 30, 33, 43, 72, 82, 114, 157, 207],
+        [7, 5, 5, 6, 4, 4, 5, 5, 4],
+        [18, 12, 11, 13, 10, 10, 11, 11, 10]),
+    (1, "gmres", "ilu0", 107): (
+        [9, 10, 11, 13, 17, 21, 24, 32, 37, 49, 74, 107],
+        [6, 6, 4, 5, 5, 6, 5, 4, 4, 4, 5, 6],
+        [25, 16, 17, 16, 16, 20, 16, 24, 21, 23, 35, 40]),
+}
+
+
+@pytest.mark.parametrize("d,kind,precond,max_dofs", sorted(SEED7_COUNTS))
+def test_dwr_loops_repeat_the_seed7_counts(d, kind, precond, max_dofs):
+    from stfem.cli import FINAL_TIME_GOAL
+    prob = smooth_problem(d, p=4.0, eps=1e-5)
+    prob.exact_goal = FINAL_TIME_GOAL[d]
+    cfg = AdaptiveConfig(mode="dwr", theta=0.5, max_dofs=max_dofs,
+                         max_levels=40, degree=1, uniform_rounds=1, seed=7)
+    lcfg = LinearSolverConfig(kind=kind, preconditioner=precond)
+    result = adaptive_loop(prob, FinalTimeIntegralGoal(),
+                           build_box_mesh(d, 2), cfg, NewtonConfig(), lcfg)
+    recs = result.records
+    assert result.converged
+    assert ([r.dofs for r in recs], [r.newton_iters for r in recs],
+            [r.inner_iters for r in recs]) \
+        == SEED7_COUNTS[(d, kind, precond, max_dofs)]
+
+
 def test_loop_continues_after_newton_failure():
     prob = smooth_problem(1, p=4.0, eps=1e-5)
     prob.exact_goal = EXACT_GOAL_D1

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stfem.assembly import (assemble_jacobian, assemble_residual,
-                            assemble_time_matrix, flux, flux_jacobian,
-                            jacobian_form_element_values,
-                            residual_element_vectors,
+from stfem.assembly import (_scatter_matrix, assemble_jacobian,
+                            assemble_residual, assemble_time_matrix, flux,
+                            flux_jacobian, jacobian_form_element_values,
+                            quadrature_state, residual_element_vectors,
                             residual_form_element_values)
-from stfem.mesh import build_box_mesh, uniform_refine
+from stfem.mesh import build_box_mesh, refine, uniform_refine
 from stfem.problems import ProblemDefinition, smooth_problem
 from stfem.quadrature import simplex_rule
 from stfem.solvers import LinearSolverConfig, linear_solve
@@ -383,3 +383,103 @@ def test_cached_source_follows_the_problem():
         assert np.array_equal(r, assemble_residual(fresh, zero_function(fresh),
                                                    prob))
     assert np.abs(got[0] - got[1]).max() > 1e-3 * np.abs(got[0]).max()
+
+
+def coo_scatter(V, k_loc, dirichlet):
+    """Reference scatter: COO to CSR, then identity rows and columns on the
+    constrained dofs and explicit zeros dropped."""
+    K = einsum_scatter(V, k_loc)
+    if dirichlet:
+        rows = np.repeat(np.arange(V.n_dofs), np.diff(K.indptr))
+        keep = V.free[rows] & V.free[K.indices]
+        K.data = np.where(keep, K.data, rows == K.indices)
+        K.eliminate_zeros()
+    return K
+
+
+def marked_space(d, degree):
+    mesh = uniform_refine(build_box_mesh(d, 2), 1)
+    return FeSpace(refine(mesh, np.arange(0, mesh.n_elements, 3)), degree)
+
+
+@pytest.mark.parametrize("dirichlet", [True, False])
+@pytest.mark.parametrize("d,degree", CASES)
+def test_cached_scatter_matches_coo_reference(d, degree, dirichlet):
+    V = marked_space(d, degree)
+    rng = np.random.default_rng(21)
+    nloc = V.n_local
+    for _ in range(3):
+        k_loc = rng.normal(size=(V.mesh.n_elements, nloc, nloc))
+        got = _scatter_matrix(V, k_loc, dirichlet)
+        ref = coo_scatter(V, k_loc, dirichlet)
+        got_sorted = got.copy()
+        got_sorted.sort_indices()
+        assert np.array_equal(got.indices, got_sorted.indices)
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.abs(got.data - ref.data).max() \
+            <= 1e-14 * np.abs(ref.data).max()
+
+
+@pytest.mark.parametrize("d,degree", CASES)
+def test_csr_pattern_is_built_once_and_never_aliased(d, degree):
+    prob = smooth_problem(d, p=4.0, eps=1e-2)
+    V = marked_space(d, degree)
+    u = random_state(V, seed=18)
+    first = {dirichlet: assemble_jacobian(V, u, prob, dirichlet=dirichlet)
+             for dirichlet in (True, False)}
+    pattern = V.csr_pattern()
+    saved = {key: arr.copy() for key, arr in pattern.items()}
+    for dirichlet, K in first.items():
+        ref = K.copy()
+        K.data[:] = 0.0
+        K.sort_indices()
+        K.eliminate_zeros()
+        again = assemble_jacobian(V, u, prob, dirichlet=dirichlet)
+        assert np.array_equal(again.indptr, ref.indptr)
+        assert np.array_equal(again.indices, ref.indices)
+        assert np.array_equal(again.data, ref.data)
+    assemble_time_matrix(V)
+    assert V.csr_pattern() is pattern
+    for key, arr in pattern.items():
+        assert np.array_equal(arr, saved[key])
+        assert not arr.flags.writeable
+
+
+def test_state_of_another_space_order_or_problem_is_rejected():
+    prob = smooth_problem(1, p=4.0, eps=1e-2)
+    V = case_space(1, 1)
+    u = random_state(V, seed=19)
+    w = random_state(V, seed=20).coeffs
+    state = quadrature_state(V, u, prob)
+    calls = [
+        assemble_residual, assemble_jacobian,
+        lambda V_, st, pr, o: residual_form_element_values(V_, st, w, pr, o),
+        lambda V_, st, pr, o: jacobian_form_element_values(V_, st, w, w, pr,
+                                                           o),
+    ]
+    other_space = FeSpace(V.mesh, 1)
+    other_prob = smooth_problem(1, p=4.0, eps=1e-2)
+    for call in calls:
+        call(V, state, prob, None)
+        call(V, state, prob, V.default_order())
+        for args in ((other_space, state, prob, None),
+                     (V, state, prob, V.default_order() + 2),
+                     (V, state, other_prob, None)):
+            with pytest.raises(ValueError):
+                call(*args)
+
+
+@pytest.mark.parametrize("d,degree", CASES)
+def test_state_gives_the_same_forms_as_the_function(d, degree):
+    prob = smooth_problem(d, p=4.0, eps=1e-2)
+    V = case_space(d, degree)
+    u, w, z = (random_state(V, seed=s) for s in (22, 23, 24))
+    order = V.default_order()
+    state = quadrature_state(V, u, prob, order)
+    for f in (lambda x: assemble_residual(V, x, prob, order),
+              lambda x: residual_form_element_values(V, x, w.coeffs, prob,
+                                                     order),
+              lambda x: jacobian_form_element_values(V, x, w.coeffs,
+                                                     z.coeffs, prob, order)):
+        assert np.array_equal(f(state), f(u))

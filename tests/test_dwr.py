@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from stfem.assembly import (assemble_jacobian, assemble_residual,
+                            jacobian_form_element_values,
+                            residual_form_element_values)
 from stfem.dwr import EstimatorBreakdown, efficiency, enrich, estimate
 from stfem.goals import FinalTimeIntegralGoal, eval_goal
 from stfem.mesh import build_box_mesh, uniform_refine
@@ -60,6 +63,42 @@ def test_partition_of_unity_telescoping():
     bd = estimate(prob, goal, u, z, u2, z2)
     # the local split must telescope to the global estimator value
     assert bd.local.sum() == pytest.approx(bd.eta_h, rel=1e-10, abs=1e-14)
+
+
+def composed_estimate(prob, goal, u, z, u2, z2, order):
+    """The estimator parts with every form evaluated from the function."""
+    V2 = u2.space
+    ut, zt = inject(u, V2), inject(z, V2)
+    wz, wu = z2.coeffs - zt.coeffs, u2.coeffs - ut.coeffs
+    r2 = assemble_residual(V2, ut, prob, order)
+    K2 = assemble_jacobian(V2, ut, prob, order)
+    eta_h_p = -float(r2 @ wz)
+    eta_h_a = goal.derivative(V2, ut, FeFunction(V2, wu)) \
+        - float(zt.coeffs @ (K2 @ wu))
+    local = 0.5 * (-residual_form_element_values(V2, ut, wz, prob, order)
+                   + goal.derivative_element_values(V2, ut, wu)
+                   - jacobian_form_element_values(V2, ut, wu, zt.coeffs,
+                                                  prob, order))
+    return {"eta_h_p": eta_h_p, "eta_h_a": eta_h_a,
+            "eta_h": 0.5 * (eta_h_p + eta_h_a),
+            "eta_k": -float(r2 @ zt.coeffs), "local": local}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_estimate_with_shared_state_matches_per_form_composition(d):
+    prob = smooth_problem(d, p=4.0, eps=1e-5)
+    goal = FinalTimeIntegralGoal()
+    mesh = uniform_refine(build_box_mesh(d, 2), 1)
+    V, u, z, V2, u2, z2 = solve_level(prob, goal, mesh)
+    bd = estimate(prob, goal, u, z, u2, z2, 6)
+    ref = composed_estimate(prob, goal, u, z, u2, z2, 6)
+    for name in ("eta_h_p", "eta_h_a", "eta_h", "eta_k"):
+        assert getattr(bd, name) == pytest.approx(ref[name], rel=1e-12,
+                                                  abs=0.0)
+    assert np.abs(bd.local - ref["local"]).max() \
+        <= 1e-12 * np.abs(ref["local"]).max()
+    assert abs(bd.local.sum() - bd.eta_h) \
+        == abs(ref["local"].sum() - ref["eta_h"])
 
 
 def test_estimate_rejects_mismatched_spaces():

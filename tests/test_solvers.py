@@ -139,6 +139,49 @@ def test_newton_nonlinear_converges_with_monotone_residuals():
     assert np.all(u.coeffs[V.constrained] == 0.0)
 
 
+def test_newton_jacobian_reuses_the_accepted_trial_state(monkeypatch):
+    import stfem.solvers as solvers
+    prob = smooth_problem(1, p=4.0, eps=1e-5)
+    V = FeSpace(uniform_refine(build_box_mesh(1, 2), 1), 2)
+    residuals, jacobians, evaluations = [], [], []
+
+    def residual(space, u, prob_, order):
+        r = assemble_residual(space, u, prob_, order)
+        residuals.append((u, np.linalg.norm(r)))
+        return r
+
+    def jacobian(space, u, prob_, order):
+        K = assemble_jacobian(space, u, prob_, order)
+        jacobians.append((u, K))
+        return K
+
+    at_quadrature = FeFunction.at_quadrature
+
+    def counted(self, order):
+        evaluations.append(order)
+        return at_quadrature(self, order)
+
+    monkeypatch.setattr(solvers, "assemble_residual", residual)
+    monkeypatch.setattr(solvers, "assemble_jacobian", jacobian)
+    monkeypatch.setattr(FeFunction, "at_quadrature", counted)
+    _u, stats = newton_solve(prob, V, random_initial_guess(V, seed=0),
+                             lcfg=DIRECT)
+    monkeypatch.undo()
+    assert stats.converged and stats.newton_iters >= 3
+    assert len(jacobians) == stats.newton_iters
+    # one evaluation per residual; the Jacobians evaluate no state
+    assert len(evaluations) == len(residuals)
+    for k, (state, K) in enumerate(jacobians[1:], start=1):
+        # the state of the trial the line search accepted last
+        assert any(st is state and rn == stats.residual_history[k]
+                   for st, rn in residuals)
+        fresh = assemble_jacobian(V, FeFunction(V, state.u.coeffs.copy()),
+                                  prob)
+        assert np.array_equal(K.indptr, fresh.indptr)
+        assert np.array_equal(K.indices, fresh.indices)
+        assert np.array_equal(K.data, fresh.data)
+
+
 def test_newton_quadratic_tail():
     prob = smooth_problem(1, p=4.0, eps=1.0)
     V = FeSpace(uniform_refine(build_box_mesh(1, 2), 2), 1)
