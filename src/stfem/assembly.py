@@ -16,10 +16,13 @@ coefficients, which are never evaluated at quadrature points.
 
 A state's data at the quadrature points (``QuadratureState``: gradients,
 |grad_x u|^2 + eps^2 and its one fractional power) is computed once per
-Newton iterate and shared by every form evaluated there.  The Jacobian
-applies the flux derivative in rank-one form, a I + (p-2)(a/s) g g^T, and
-never stores it per point.  Matrices are summed by one ``np.bincount`` into
-the sparsity pattern that ``FeSpace.csr_pattern`` builds once per space.
+Newton iterate and shared by every form evaluated there, each term at the
+order it needs (``quadrature_state``): a degree-1 state at one point per
+element, where it is constant, and the load int f phi, cached per space, at
+the requested order.  The Jacobian applies the flux derivative in rank-one
+form, a I + (p-2)(a/s) g g^T, and never stores it per point.  Matrices are
+summed by one ``np.bincount`` into the sparsity pattern that
+``FeSpace.csr_pattern`` builds once per space.
 """
 
 from __future__ import annotations
@@ -63,14 +66,17 @@ def flux_jacobian(g: np.ndarray, p: float, eps: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureState:
-    """A function u at the quadrature points of one space and order: the
-    spatial gradients ``gx`` (ne, nq, d), the time derivative ``ut``
-    (ne, nq), ``s`` = |gx|^2 + eps^2 and ``a`` = s^((p-2)/2), so that
-    flux = a gx and flux' = a I + (p-2) (a/s) gx gx^T."""
+    """A function u at the quadrature points for forms of one space and
+    order: the spatial gradients ``gx`` (ne, nq, d), the time derivative
+    ``ut`` (ne, nq), ``s`` = |gx|^2 + eps^2 and ``a`` = s^((p-2)/2), so that
+    flux = a gx and flux' = a I + (p-2) (a/s) gx gx^T.  They are evaluated
+    at the rule of order ``qorder`` (see ``quadrature_state``); the load
+    stays at the requested ``order``."""
 
     u: FeFunction
     prob: ProblemDefinition
     order: int
+    qorder: int
     gx: np.ndarray
     ut: np.ndarray
     s: np.ndarray
@@ -84,6 +90,15 @@ def quadrature_state(space: FeSpace, u, prob: ProblemDefinition,
     Every form of this module takes u as a ``FeFunction`` or as its state;
     a state is returned as it is, after checking that it was evaluated on
     this space, problem and order.
+
+    The one order rule of the assembly: on degree 1, gx, ut, s and a are
+    constant per element, so every integrand that meets the state (u_t phi_a
+    and phi_a dphi_b/dt, linear; flux . grad_x phi_a and flux' grad_x w .
+    grad_x z, constant) has degree at most 1, and the one-point rule of order
+    1 integrates it exactly.  On degree 2 the flux power is not a
+    polynomial, and the state keeps the requested order.  The load int f
+    phi_a does not depend on u and is always taken at the requested order,
+    so residuals of both degrees at one order integrate f alike.
     """
     if order is None:
         order = space.default_order()
@@ -96,10 +111,11 @@ def quadrature_state(space: FeSpace, u, prob: ProblemDefinition,
         raise ValueError("function does not live on the given space")
     if space.mesh.spatial_dim != prob.d:
         raise ValueError("problem and space dimensions do not match")
-    _vals, grads = u.at_quadrature(order)
+    qorder = 1 if space.degree == 1 else order
+    _vals, grads = u.at_quadrature(qorder)
     gx = grads[..., :-1]
     s = np.einsum("eqi,eqi->eq", gx, gx) + prob.eps * prob.eps
-    return QuadratureState(u, prob, order, gx, grads[..., -1], s,
+    return QuadratureState(u, prob, order, qorder, gx, grads[..., -1], s,
                            s ** ((prob.p - 2.0) / 2.0))
 
 
@@ -111,10 +127,10 @@ def residual_element_vectors(space: FeSpace, u, prob: ProblemDefinition,
     elem_dofs[e, a] gives the raw residual vector.
     """
     st = quadrature_state(space, u, prob, order)
-    b = space.batch(st.order)
-    f = space.source_values(prob.source, st.order)
-    r = (b["scale"] * (st.ut - f)) @ b["values"]
-    r += space.integrate_grad_x(st.order, st.a[..., None] * st.gx)
+    b = space.batch(st.qorder)
+    r = (b["scale"] * st.ut) @ b["values"]
+    r += space.integrate_grad_x(st.qorder, st.a[..., None] * st.gx)
+    r -= space.load_vectors(prob.source, st.order)
     return r
 
 
@@ -158,7 +174,7 @@ def assemble_jacobian(space: FeSpace, u, prob: ProblemDefinition,
                       order: int = None, dirichlet: bool = True) -> sp.csr_matrix:
     """Newton Jacobian: time matrix plus linearized diffusion at u."""
     st = quadrature_state(space, u, prob, order)
-    b = space.batch(st.order)
+    b = space.batch(st.qorder)
     _jac, inv_jac_t, _det = space.geometry()
     js = inv_jac_t[:, :st.gx.shape[-1], :]  # (ne, d, D)
     # J_x^T (w flux') J_x per point in rank-one form, with h = J_x^T gx:
@@ -197,12 +213,12 @@ def jacobian_form_element_values(space: FeSpace, u,
     boundary modifications, which is what weighted residual estimates need.
     """
     st = quadrature_state(space, u, prob, order)
-    b = space.batch(st.order)
-    _vals, wg = FeFunction(space, direction).at_quadrature(st.order)
+    b = space.batch(st.qorder)
+    _vals, wg = FeFunction(space, direction).at_quadrature(st.qorder)
     wx = wg[..., :-1]
     c = (prob.p - 2.0) * st.a / st.s * np.einsum("eqi,eqi->eq", st.gx, wx)
     v = (b["scale"] * wg[..., -1]) @ b["values"]
-    v += space.integrate_grad_x(st.order, st.a[..., None] * wx
+    v += space.integrate_grad_x(st.qorder, st.a[..., None] * wx
                                 + c[..., None] * st.gx)
     return np.einsum("ea,ea->e", v, test[space.elem_dofs])
 

@@ -86,7 +86,7 @@ def estimate(prob: ProblemDefinition, goal, u: FeFunction, z: FeFunction,
     eta_h_a = jp - float(zt.coeffs @ (K2 @ wu))
     eta_h = 0.5 * (eta_h_p + eta_h_a)
 
-    # element-restricted split of the same forms
+    # element-restricted split of the same forms: (loc_p + loc_a) / 2
     loc_p = -residual_form_element_values(space2, st, wz, prob, order)
     loc_a = goal.derivative_element_values(space2, ut, wu) \
         - jacobian_form_element_values(space2, st, wu, zt.coeffs, prob, order)

@@ -135,13 +135,13 @@ class RegionEnergyGoal:
         if order is None:
             order = 2 * space.degree + 4
         b, gx, inside = self._grad_state(space, u, order)
-        dens = np.sum(gx * gx, axis=-1) ** (self.p / 2.0)
+        dens = np.einsum("eqi,eqi->eq", gx, gx) ** (self.p / 2.0)
         return float(np.sum(b["scale"][inside] * dens[inside]))
 
     def _weighted_gradient(self, space: FeSpace, u: FeFunction, order: int):
         """p |grad u|^(p-2) grad u at quadrature points, zero outside."""
         _b, gx, inside = self._grad_state(space, u, order)
-        norm2 = np.sum(gx * gx, axis=-1)
+        norm2 = np.einsum("eqi,eqi->eq", gx, gx)
         dens = self.p * norm2 ** ((self.p - 2.0) / 2.0)
         dens = np.where(inside[:, None], dens, 0.0)
         return dens[..., None] * gx

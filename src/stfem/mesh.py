@@ -94,6 +94,7 @@ class SimplicialMesh:
         self.parent_mesh = None
         self._boundary = None
         self._edge_table = None
+        self._source_cache = {}  # filled by FeSpace.source_values
 
     # -- basic queries ---------------------------------------------------
 

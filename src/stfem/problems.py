@@ -22,7 +22,8 @@ class ManufacturedSolution:
 
     All callables take points of shape (n, d+1), last column time, and return
     arrays: value (n,), dt (n,), grad (n, d) spatial gradient, hess (n, d, d)
-    spatial Hessian.
+    spatial Hessian; ``derivatives`` returns (dt, grad, hess) from one
+    evaluation of the solution's factors.
     """
 
     d: int
@@ -30,6 +31,7 @@ class ManufacturedSolution:
     dt: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
+    derivatives: Callable[[np.ndarray], tuple]
 
 
 def smooth_product_solution(d: int) -> ManufacturedSolution:
@@ -44,18 +46,12 @@ def smooth_product_solution(d: int) -> ManufacturedSolution:
         c = np.cos(np.pi * x)
         g = t * t * np.exp(t)
         gdot = (2.0 * t + t * t) * np.exp(t)
-        return x, t, s, c, g, gdot
+        return s, c, g, gdot
 
-    def value(pts):
-        _, _, s, _, g, _ = parts(pts)
-        return g * s.prod(axis=1)
-
-    def dt(pts):
-        _, _, s, _, _, gdot = parts(pts)
+    def dt_of(s, c, g, gdot):
         return gdot * s.prod(axis=1)
 
-    def grad(pts):
-        _, _, s, c, g, _ = parts(pts)
+    def grad_of(s, c, g, gdot):
         out = np.empty_like(s)
         for i in range(d):
             prod = np.ones(s.shape[0])
@@ -64,8 +60,7 @@ def smooth_product_solution(d: int) -> ManufacturedSolution:
             out[:, i] = np.pi * g * prod
         return out
 
-    def hess(pts):
-        _, _, s, c, g, _ = parts(pts)
+    def hess_of(s, c, g, gdot):
         n = s.shape[0]
         out = np.empty((n, d, d))
         for i in range(d):
@@ -79,7 +74,18 @@ def smooth_product_solution(d: int) -> ManufacturedSolution:
                 out[:, i, j] = (np.pi ** 2) * g * (-prod if i == j else prod)
         return out
 
-    return ManufacturedSolution(d, value, dt, grad, hess)
+    def value(pts):
+        s, _, g, _ = parts(pts)
+        return g * s.prod(axis=1)
+
+    def derivatives(pts):
+        fac = parts(pts)
+        return dt_of(*fac), grad_of(*fac), hess_of(*fac)
+
+    return ManufacturedSolution(
+        d, value, lambda pts: dt_of(*parts(pts)),
+        lambda pts: grad_of(*parts(pts)), lambda pts: hess_of(*parts(pts)),
+        derivatives)
 
 
 @dataclass
@@ -120,10 +126,8 @@ def manufactured_source(exact: ManufacturedSolution, p: float,
     from .assembly import flux_jacobian
 
     def f(pts):
-        g = exact.grad(pts)
-        H = exact.hess(pts)
-        A = flux_jacobian(g, p, eps)
-        return exact.dt(pts) - np.einsum("nij,nij->n", A, H)
+        dt, g, H = exact.derivatives(pts)
+        return dt - np.einsum("nij,nij->n", flux_jacobian(g, p, eps), H)
 
     return f
 

@@ -17,6 +17,8 @@ import numpy as np
 from .mesh import SimplicialMesh, box_faces, local_edges
 from .quadrature import simplex_rule
 
+_ERROR_BLOCK = 1024  # elements per block of error_norms
+
 
 def tabulate_shape(D: int, k: int, points: np.ndarray):
     """Reference shape function values and gradients at given points.
@@ -123,7 +125,7 @@ class FeSpace:
         self.free = ~self.constrained
         self._geom = None
         self._batch_cache = {}
-        self._source_cache = {}
+        self._load_cache = {}
         self._pattern = None
 
     @property
@@ -202,18 +204,32 @@ class FeSpace:
     def source_values(self, source, order: int) -> np.ndarray:
         """Read-only values of a callable at the quadrature points, (ne, nq).
 
-        The points of a space never change, so each (order, source) pair is
-        evaluated once.  The key holds the callable itself rather than its
-        id(), so a collected source whose id is reused never matches.
+        The points depend only on the mesh and the rule, so the values are
+        cached on the mesh: each (order, source) pair is evaluated once for
+        every space of any degree on it.  The key holds the callable itself
+        rather than its id(), so a collected source whose id is reused never
+        matches.
         """
         key = (order, source)
-        if key not in self._source_cache:
+        cache = self.mesh._source_cache
+        if key not in cache:
             pts = self.batch(order)["points"]
             f = np.asarray(source(pts.reshape(-1, pts.shape[-1])))
             f = f.reshape(pts.shape[:2])
             f.flags.writeable = False
-            self._source_cache[key] = f
-        return self._source_cache[key]
+            cache[key] = f
+        return cache[key]
+
+    def load_vectors(self, source, order: int) -> np.ndarray:
+        """Read-only element load vectors int_e f phi_a, (ne, nloc), built
+        once per (order, source): they do not depend on the state."""
+        key = (order, source)
+        if key not in self._load_cache:
+            b = self.batch(order)
+            v = (b["scale"] * self.source_values(source, order)) @ b["values"]
+            v.flags.writeable = False
+            self._load_cache[key] = v
+        return self._load_cache[key]
 
     def default_order(self) -> int:
         """Quadrature order for nonlinear residual and Jacobian terms."""
@@ -249,15 +265,16 @@ class FeFunction:
         grad = inv_jac_t[element] @ (ref_grads[0].T @ u)
         return value, grad[:-1], float(grad[-1])
 
-    def at_quadrature(self, order: int):
-        """Values (ne, nq) and full gradients (ne, nq, D) at quadrature points."""
+    def at_quadrature(self, order: int, elements=slice(None)):
+        """Values (ne, nq) and full gradients (ne, nq, D) at quadrature points
+        of every element, or of a slice of the elements."""
         space = self.space
         b = space.batch(order)
         _jac, inv_jac_t, _det = space.geometry()
-        u = self.coeffs[space.elem_dofs]
+        u = self.coeffs[space.elem_dofs[elements]]
         vals = u @ b["values"].T
         ref = (u @ b["grad_table"]).reshape(len(u), -1, space.mesh.dim)
-        return vals, ref @ np.swapaxes(inv_jac_t, 1, 2)
+        return vals, ref @ np.swapaxes(inv_jac_t[elements], 1, 2)
 
 
 def zero_function(space: FeSpace) -> FeFunction:
@@ -325,12 +342,16 @@ def error_norms(u: FeFunction, exact_value, exact_grad,
     if order is None:
         order = 2 * space.degree + 4
     b = space.batch(order)
-    vals, grads = u.at_quadrature(order)
-    pts = b["points"]
-    flat = pts.reshape(-1, pts.shape[-1])
-    ev = np.asarray(exact_value(flat)).reshape(vals.shape)
-    eg = np.asarray(exact_grad(flat)).reshape(grads[..., :-1].shape)
-    scale = b["scale"]
-    l2 = np.sqrt(np.sum(scale * (vals - ev) ** 2))
-    h1 = np.sqrt(np.sum(scale * np.sum((grads[..., :-1] - eg) ** 2, axis=-1)))
-    return l2, h1
+    l2 = h1 = 0.0
+    # in blocks of elements, which bounds the exact solution's temporaries
+    for lo in range(0, space.mesh.n_elements, _ERROR_BLOCK):
+        blk = slice(lo, lo + _ERROR_BLOCK)
+        vals, grads = u.at_quadrature(order, blk)
+        pts = b["points"][blk].reshape(-1, space.mesh.dim)
+        dv = vals - np.asarray(exact_value(pts)).reshape(vals.shape)
+        dg = grads[..., :-1] - np.asarray(exact_grad(pts)).reshape(
+            grads[..., :-1].shape)
+        scale = b["scale"][blk]
+        l2 += np.einsum("eq,eq,eq->", scale, dv, dv)
+        h1 += np.einsum("eq,eqi,eqi->", scale, dg, dg)
+    return np.sqrt(l2), np.sqrt(h1)

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stfem.assembly import (_scatter_matrix, assemble_jacobian,
-                            assemble_residual, assemble_time_matrix, flux,
-                            flux_jacobian, jacobian_form_element_values,
-                            quadrature_state, residual_element_vectors,
+from stfem.assembly import (_scatter_matrix, _time_matrices,
+                            assemble_jacobian, assemble_residual,
+                            assemble_time_matrix, flux, flux_jacobian,
+                            jacobian_form_element_values, quadrature_state,
+                            residual_element_vectors,
                             residual_form_element_values)
 from stfem.mesh import build_box_mesh, refine, uniform_refine
-from stfem.problems import ProblemDefinition, smooth_problem
+from stfem.problems import (ProblemDefinition, manufactured_source,
+                            smooth_problem, smooth_product_solution)
 from stfem.quadrature import simplex_rule
 from stfem.solvers import LinearSolverConfig, linear_solve
 from stfem.spaces import FeFunction, FeSpace, tabulate_shape, zero_function
@@ -347,7 +349,7 @@ def counting_source(prob):
 
 
 @pytest.mark.parametrize("degree", [1, 2])
-def test_source_evaluated_once_per_space_and_order(degree):
+def test_source_evaluated_once_per_mesh_and_order(degree):
     prob = smooth_problem(1, p=4.0, eps=1e-2)
     calls = counting_source(prob)
     V = FeSpace(uniform_refine(build_box_mesh(1, 2), 1), degree)
@@ -366,10 +368,20 @@ def test_source_evaluated_once_per_space_and_order(degree):
     nq = [len(simplex_rule(2, o).weights) for o in (V.default_order(), 8)]
     assert calls == [V.mesh.n_elements * n for n in nq]
 
-    # a new space on the same mesh evaluates f again
-    V2 = FeSpace(V.mesh, degree)
-    assemble_residual(V2, FeFunction(V2, u.coeffs), prob)
-    assert len(calls) == 3
+    # a second space of either degree on the same mesh evaluates nothing
+    for k in (1, 2):
+        V2 = FeSpace(V.mesh, k)
+        for order in (V.default_order(), 8):
+            assemble_residual(V2, zero_function(V2), prob, order)
+    assert len(calls) == 2
+
+    # a new order evaluates once, a space on a refined mesh again
+    for _ in range(2):
+        assemble_residual(V2, zero_function(V2), prob, 5)
+    assert calls[2:] == [V.mesh.n_elements * len(simplex_rule(2, 5).weights)]
+    V3 = FeSpace(uniform_refine(V.mesh, 1), degree)
+    assemble_residual(V3, zero_function(V3), prob, 8)
+    assert calls[3:] == [V3.mesh.n_elements * nq[1]]
 
 
 def test_cached_source_follows_the_problem():
@@ -483,3 +495,70 @@ def test_state_gives_the_same_forms_as_the_function(d, degree):
               lambda x: jacobian_form_element_values(V, x, w.coeffs,
                                                      z.coeffs, prob, order)):
         assert np.array_equal(f(state), f(u))
+
+
+def full_order_p1_forms(V, u, w, z, prob, order):
+    """Reference: the forms with the state and every term at the requested
+    order, no one-point rule.  Returns residual element vectors, Jacobian,
+    Jacobian and residual form element values."""
+    b = V.batch(order)
+    _vals, grads = u.at_quadrature(order)
+    gx, ut = grads[..., :-1], grads[..., -1]
+    s = np.einsum("eqi,eqi->eq", gx, gx) + prob.eps * prob.eps
+    a = s ** ((prob.p - 2.0) / 2.0)
+    f = V.source_values(prob.source, order)
+    r = (b["scale"] * (ut - f)) @ b["values"]
+    r += V.integrate_grad_x(order, a[..., None] * gx)
+
+    _jac, inv_jac_t, _det = V.geometry()
+    js = inv_jac_t[:, :gx.shape[-1], :]
+    upper, lower = b["pairs"]
+    jst = np.swapaxes(js, 1, 2)
+    h = jst @ np.swapaxes(gx, 1, 2)
+    c = b["scale"] * a
+    B = h[:, upper] * ((prob.p - 2.0) / s * c)[:, None, :] * h[:, lower]
+    B += c[:, None, :] * (jst @ js)[:, upper, lower, None]
+    k_loc = B.reshape(len(B), -1) @ b["stiffness_table"]
+    k_loc += _time_matrices(V, b).reshape(k_loc.shape)
+
+    _vals, wg = w.at_quadrature(order)
+    wx = wg[..., :-1]
+    cw = (prob.p - 2.0) * a / s * np.einsum("eqi,eqi->eq", gx, wx)
+    v = (b["scale"] * wg[..., -1]) @ b["values"]
+    v += V.integrate_grad_x(order, a[..., None] * wx + cw[..., None] * gx)
+    return (r, _scatter_matrix(V, k_loc, True),
+            np.einsum("ea,ea->e", v, z.coeffs[V.elem_dofs]),
+            np.einsum("ea,ea->e", r, w.coeffs[V.elem_dofs]))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_one_point_p1_state_is_exact_at_every_order(d):
+    prob = smooth_problem(d, p=4.0, eps=1e-2)
+    V = marked_space(d, 1)
+    u, w, z = (random_state(V, seed=s) for s in (25, 26, 27))
+    for order in (V.default_order(), 6, 8):
+        r, K, jf, rf = full_order_p1_forms(V, u, w, z, prob, order)
+        st = quadrature_state(V, u, prob, order)
+        assert st.order == order and st.gx.shape[1] == 1
+        assert rel_err(residual_element_vectors(V, st, prob, order), r) \
+            <= 1e-13
+        assert abs(assemble_jacobian(V, st, prob, order) - K).max() \
+            <= 1e-13 * abs(K).max()
+        assert rel_err(jacobian_form_element_values(
+            V, st, w.coeffs, z.coeffs, prob, order), jf) <= 1e-13
+        assert rel_err(residual_form_element_values(
+            V, st, w.coeffs, prob, order), rf) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_single_pass_source_equals_the_three_callables(d):
+    exact = smooth_product_solution(d)
+    p, eps = 4.0, 1e-5
+    pts = np.random.default_rng(32).uniform(0.0, 1.0, size=(200, d + 1))
+    dt, g, H = exact.derivatives(pts)
+    assert np.array_equal(dt, exact.dt(pts))
+    assert np.array_equal(g, exact.grad(pts))
+    assert np.array_equal(H, exact.hess(pts))
+    ref = exact.dt(pts) - np.einsum(
+        "nij,nij->n", flux_jacobian(exact.grad(pts), p, eps), exact.hess(pts))
+    assert np.array_equal(manufactured_source(exact, p, eps)(pts), ref)

@@ -75,10 +75,12 @@ def composed_estimate(prob, goal, u, z, u2, z2, order):
     eta_h_p = -float(r2 @ wz)
     eta_h_a = goal.derivative(V2, ut, FeFunction(V2, wu)) \
         - float(zt.coeffs @ (K2 @ wu))
+    # associated as in estimate(): (loc_p + loc_a) / 2 with
+    # loc_a = J'(u)(w) - A'(u)(w, z) summed first
     local = 0.5 * (-residual_form_element_values(V2, ut, wz, prob, order)
-                   + goal.derivative_element_values(V2, ut, wu)
-                   - jacobian_form_element_values(V2, ut, wu, zt.coeffs,
-                                                  prob, order))
+                   + (goal.derivative_element_values(V2, ut, wu)
+                      - jacobian_form_element_values(V2, ut, wu, zt.coeffs,
+                                                     prob, order)))
     return {"eta_h_p": eta_h_p, "eta_h_a": eta_h_a,
             "eta_h": 0.5 * (eta_h_p + eta_h_a),
             "eta_k": -float(r2 @ zt.coeffs), "local": local}
@@ -95,8 +97,7 @@ def test_estimate_with_shared_state_matches_per_form_composition(d):
     for name in ("eta_h_p", "eta_h_a", "eta_h", "eta_k"):
         assert getattr(bd, name) == pytest.approx(ref[name], rel=1e-12,
                                                   abs=0.0)
-    assert np.abs(bd.local - ref["local"]).max() \
-        <= 1e-12 * np.abs(ref["local"]).max()
+    assert np.array_equal(bd.local, ref["local"])
     assert abs(bd.local.sum() - bd.eta_h) \
         == abs(ref["local"].sum() - ref["eta_h"])
 
