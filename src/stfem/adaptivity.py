@@ -44,6 +44,8 @@ class AdaptiveConfig:
             raise ValueError("Doerfler fraction must be in (0, 1]")
         if self.max_levels < 1:
             raise ValueError("max_levels must be at least 1")
+        if self.uniform_rounds < 1:
+            raise ValueError("uniform_rounds must be at least 1")
         if self.mode == "dwr" and self.degree != 1:
             raise ValueError("dwr mode enriches degree 1 to 2; use degree=1")
 

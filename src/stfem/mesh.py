@@ -3,12 +3,11 @@
 The space-time cylinder Q = (0,1)^(d+1) is treated as a single (d+1)-dimensional
 domain whose last coordinate is time.  Meshes are built from Kuhn triangulations
 of a tensor grid and refined by tagged newest-vertex bisection, which keeps the
-mesh conforming (no hanging nodes) and shape regular under arbitrary local
-refinement.
-
-Refined meshes record each element's ancestor in the input mesh
-(``parent_leaf``), which is all that carrying a function across refinement
-needs; no vertex genealogy is kept.
+mesh conforming and shape regular under arbitrary local refinement.  One
+bisection closure, computed in rounds over whole arrays, serves marked and
+uniform refinement.  Refined meshes record each element's ancestor in the
+input mesh (``parent_leaf``), which is all that carrying a function across
+refinement needs; no vertex genealogy is kept.
 
 Boundary conditions only need to know which face of the box a point lies on:
 :func:`box_faces` reads that from coordinates.  The boundary facets of a mesh
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from collections import defaultdict
 from enum import IntEnum
 from math import factorial
 
@@ -300,110 +298,70 @@ def build_box_mesh(d: int, n: int, reflected: bool = False) -> SimplicialMesh:
 def refine(mesh: SimplicialMesh, marked) -> SimplicialMesh:
     """Bisect the marked elements, closing the mesh until it is conforming.
 
-    Every marked element is bisected at least once; recursive closure
-    bisections of neighbors keep the mesh free of hanging nodes.  Returns a
-    new mesh; the input mesh is not modified.  Vertex ids are preserved and
-    new midpoint vertices are appended.
+    ``marked`` holds integer element indices.  The closure runs in array
+    rounds.  Each round wants the refinement edges of ``todo`` (at first the
+    marked elements).  Elements holding a wanted edge as another edge join
+    ``todo``; elements whose refinement edge is wanted and held as no other
+    edge are bisected, so no hanging node ever exists.  A round that changes
+    nothing, or a child past generation ``max(generation[marked]) + 1``
+    (never made from compatible tags), raises MeshError.  Vertex ids are
+    kept; each round appends one midpoint per split edge in sorted
+    vertex-pair order, which sets the dof order of spaces on the mesh.
     """
     if mesh.n_elements == 0:
         raise MeshError("cannot refine an empty mesh")
-    marked = np.unique(np.asarray(list(marked), dtype=np.int64))
-    if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_elements):
-        raise MeshError("marked element index out of range")
+    marked = np.asarray(marked if isinstance(marked, np.ndarray)
+                        else list(marked))
     if marked.size == 0:
         return mesh
+    if not np.issubdtype(marked.dtype, np.integer):
+        raise MeshError(f"marked must hold element indices, not {marked.dtype}")
+    if marked.min() < 0 or marked.max() >= mesh.n_elements:
+        raise MeshError("marked element index out of range")
 
     D = mesh.dim
-    ne0 = mesh.n_elements
-    coords = [mesh.vertices[i] for i in range(mesh.n_vertices)]
+    a, b = np.array(local_edges(D)).T
+    vertices, elems = mesh.vertices, mesh.elements.copy()
+    tags, gen = mesh.tags.copy(), mesh.generation.copy()
+    ancestors = np.arange(mesh.n_elements)
+    max_gen = gen[marked].max() + 1
+    todo = np.bincount(marked, minlength=mesh.n_elements) > 0
+    while todo.any():
+        ea, eb = elems[:, a], elems[:, b]
+        keys = np.minimum(ea, eb) << 32 | np.maximum(ea, eb)
+        is_ref = np.arange(a.size) == tags[:, None] - 1  # local edge (0, t)
+        ref_key = keys[is_ref]
+        wanted = np.unique(ref_key[todo])
+        at = np.searchsorted(wanted, keys).clip(max=wanted.size - 1)
+        hit = wanted[at] == keys
+        held = hit & ~is_ref
+        blocked = np.bincount(at[held], minlength=wanted.size) > 0
+        bis = np.flatnonzero(hit[is_ref] & ~blocked[at[is_ref]])
+        joined = held.any(axis=1) & ~todo
+        if np.any(gen[bis] >= max_gen) or not (bis.size or joined.any()):
+            raise MeshError("bisection closure does not close; "
+                            "incompatible refinement-edge assignment")
+        todo[joined] = True
+        todo[bis] = False
 
-    elems = [tuple(int(v) for v in row) for row in mesh.elements]
-    tags = [int(t) for t in mesh.tags]
-    gen = [int(g) for g in mesh.generation]
-    parent = [-1] * ne0
-    alive = [True] * ne0
+        split = wanted[~blocked]
+        z = len(vertices) + np.searchsorted(split, ref_key[bis])
+        vertices = np.concatenate([vertices, 0.5 * (
+            vertices[split >> 32] + vertices[split & 0xFFFFFFFF])])
+        # children of (v0, ..., vD) with tag t, z the midpoint of v0 vt:
+        # (v0, ..., z, ..., vD) in its row, (v1, ..., vt, z, ..., vD) appended
+        t = tags[bis]
+        cols = np.arange(D + 1)
+        second = np.take_along_axis(elems[bis], cols + (cols < t[:, None]), 1)
+        second[np.arange(bis.size), t] = z
+        elems[bis, t] = z
+        tags[bis] = np.where(t > 1, t - 1, D)
+        gen[bis] += 1
+        elems = np.concatenate([elems, second])
+        tags, gen, ancestors, todo = (np.concatenate([x, x[bis]])
+                                      for x in (tags, gen, ancestors, todo))
 
-    edge_elems = defaultdict(set)
-    for e, vs in enumerate(elems):
-        for a, b in itertools.combinations(vs, 2):
-            edge_elems[(min(a, b), max(a, b))].add(e)
-
-    midpoint = {}
-
-    def refedge(e):
-        vs = elems[e]
-        a, b = vs[0], vs[tags[e]]
-        return (min(a, b), max(a, b))
-
-    def get_midpoint(key):
-        z = midpoint.get(key)
-        if z is None:
-            z = len(coords)
-            coords.append(0.5 * (coords[key[0]] + coords[key[1]]))
-            midpoint[key] = z
-        return z
-
-    def bisect(e):
-        vs = elems[e]
-        t = tags[e]
-        z = get_midpoint((min(vs[0], vs[t]), max(vs[0], vs[t])))
-        newtag = t - 1 if t > 1 else D
-        c1 = vs[:t] + (z,) + vs[t + 1:]
-        c2 = vs[1:t + 1] + (z,) + vs[t + 1:]
-        for child in (c1, c2):
-            cid = len(elems)
-            elems.append(child)
-            tags.append(newtag)
-            gen.append(gen[e] + 1)
-            parent.append(e)
-            alive.append(True)
-            for a, b in itertools.combinations(child, 2):
-                edge_elems[(min(a, b), max(a, b))].add(cid)
-        alive[e] = False
-
-    budget = 200 * (ne0 + marked.size) + 100000
-
-    def ensure_bisected(e0):
-        nonlocal budget
-        stack = [e0]
-        while stack:
-            budget -= 1
-            if budget < 0:
-                raise MeshError("bisection closure did not terminate; "
-                                "incompatible refinement-edge assignment")
-            e = stack[-1]
-            if not alive[e]:
-                stack.pop()
-                continue
-            edge = refedge(e)
-            sharers = [s for s in edge_elems[edge] if alive[s]]
-            bad = [s for s in sharers if refedge(s) != edge]
-            if bad:
-                stack.extend(bad)
-            else:
-                for s in sharers:
-                    bisect(s)
-                stack.pop()
-
-    for m in marked:
-        if alive[m]:
-            ensure_bisected(int(m))
-
-    keep = [e for e in range(len(elems)) if alive[e]]
-    ancestors = np.empty(len(keep), dtype=np.int64)
-    for i, e in enumerate(keep):
-        a = e
-        while a >= ne0:
-            a = parent[a]
-        ancestors[i] = a
-
-    new = SimplicialMesh(
-        np.asarray(coords),
-        np.asarray([elems[e] for e in keep]),
-        np.asarray([tags[e] for e in keep]),
-        generation=np.asarray([gen[e] for e in keep]),
-        parent_leaf=ancestors,
-    )
+    new = SimplicialMesh(vertices, elems, tags, gen, parent_leaf=ancestors)
     new.parent_mesh = weakref.ref(mesh)
     return new
 
@@ -414,15 +372,12 @@ def uniform_refine(mesh: SimplicialMesh, rounds: int = 1) -> SimplicialMesh:
     The result's ``parent_leaf`` and ``parent_mesh`` refer to the mesh passed
     in, composing the per-round ancestries.
     """
-    root = mesh
-    ancestors = None
+    root, ancestors = mesh, np.arange(mesh.n_elements)
     for _ in range(rounds):
         mesh = refine(mesh, np.arange(mesh.n_elements))
-        ancestors = mesh.parent_leaf if ancestors is None \
-            else ancestors[mesh.parent_leaf]
-    if ancestors is not None:
-        mesh.parent_leaf = ancestors
-        mesh.parent_mesh = weakref.ref(root)
+        ancestors = ancestors[mesh.parent_leaf]
+    if mesh is not root:
+        mesh.parent_leaf, mesh.parent_mesh = ancestors, weakref.ref(root)
     return mesh
 
 

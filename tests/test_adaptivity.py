@@ -55,6 +55,12 @@ def test_config_validation():
         AdaptiveConfig(max_levels=0)
 
 
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_uniform_rounds_below_one_are_rejected(rounds):
+    with pytest.raises(ValueError, match="uniform_rounds"):
+        AdaptiveConfig(mode="uniform", uniform_rounds=rounds)
+
+
 def test_uniform_loop_records_and_rates():
     # linear problem: clean second-order L2 convergence
     prob = smooth_problem(1, p=2.0, eps=1.0)

@@ -1,5 +1,9 @@
 import gc
+import itertools
+import runpy
 import weakref
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,120 @@ def boundary_dict_loop(mesh):
             tag = BoundaryTag.LATERAL
         boundary.append((facet, owners[0], tag))
     return boundary
+
+
+def refine_recursive(mesh: SimplicialMesh, marked) -> SimplicialMesh:
+    """The recursive bisection closure that the array rounds of `refine`
+    replaced, kept as the reference.
+
+    Bisect the marked elements, closing the mesh until it is conforming.
+
+    Every marked element is bisected at least once; recursive closure
+    bisections of neighbors keep the mesh free of hanging nodes.  Returns a
+    new mesh; the input mesh is not modified.  Vertex ids are preserved and
+    new midpoint vertices are appended.
+    """
+    if mesh.n_elements == 0:
+        raise MeshError("cannot refine an empty mesh")
+    marked = np.unique(np.asarray(list(marked), dtype=np.int64))
+    if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_elements):
+        raise MeshError("marked element index out of range")
+    if marked.size == 0:
+        return mesh
+
+    D = mesh.dim
+    ne0 = mesh.n_elements
+    coords = [mesh.vertices[i] for i in range(mesh.n_vertices)]
+
+    elems = [tuple(int(v) for v in row) for row in mesh.elements]
+    tags = [int(t) for t in mesh.tags]
+    gen = [int(g) for g in mesh.generation]
+    parent = [-1] * ne0
+    alive = [True] * ne0
+
+    edge_elems = defaultdict(set)
+    for e, vs in enumerate(elems):
+        for a, b in itertools.combinations(vs, 2):
+            edge_elems[(min(a, b), max(a, b))].add(e)
+
+    midpoint = {}
+
+    def refedge(e):
+        vs = elems[e]
+        a, b = vs[0], vs[tags[e]]
+        return (min(a, b), max(a, b))
+
+    def get_midpoint(key):
+        z = midpoint.get(key)
+        if z is None:
+            z = len(coords)
+            coords.append(0.5 * (coords[key[0]] + coords[key[1]]))
+            midpoint[key] = z
+        return z
+
+    def bisect(e):
+        vs = elems[e]
+        t = tags[e]
+        z = get_midpoint((min(vs[0], vs[t]), max(vs[0], vs[t])))
+        newtag = t - 1 if t > 1 else D
+        c1 = vs[:t] + (z,) + vs[t + 1:]
+        c2 = vs[1:t + 1] + (z,) + vs[t + 1:]
+        for child in (c1, c2):
+            cid = len(elems)
+            elems.append(child)
+            tags.append(newtag)
+            gen.append(gen[e] + 1)
+            parent.append(e)
+            alive.append(True)
+            for a, b in itertools.combinations(child, 2):
+                edge_elems[(min(a, b), max(a, b))].add(cid)
+        alive[e] = False
+
+    budget = 200 * (ne0 + marked.size) + 100000
+
+    def ensure_bisected(e0):
+        nonlocal budget
+        stack = [e0]
+        while stack:
+            budget -= 1
+            if budget < 0:
+                raise MeshError("bisection closure did not terminate; "
+                                "incompatible refinement-edge assignment")
+            e = stack[-1]
+            if not alive[e]:
+                stack.pop()
+                continue
+            edge = refedge(e)
+            sharers = [s for s in edge_elems[edge] if alive[s]]
+            bad = [s for s in sharers if refedge(s) != edge]
+            if bad:
+                stack.extend(bad)
+            else:
+                for s in sharers:
+                    bisect(s)
+                stack.pop()
+
+    for m in marked:
+        if alive[m]:
+            ensure_bisected(int(m))
+
+    keep = [e for e in range(len(elems)) if alive[e]]
+    ancestors = np.empty(len(keep), dtype=np.int64)
+    for i, e in enumerate(keep):
+        a = e
+        while a >= ne0:
+            a = parent[a]
+        ancestors[i] = a
+
+    new = SimplicialMesh(
+        np.asarray(coords),
+        np.asarray([elems[e] for e in keep]),
+        np.asarray([tags[e] for e in keep]),
+        generation=np.asarray([gen[e] for e in keep]),
+        parent_leaf=ancestors,
+    )
+    new.parent_mesh = weakref.ref(mesh)
+    return new
 
 
 def refined_mesh(d, kind):
@@ -331,3 +449,90 @@ def test_refined_mesh_does_not_keep_its_ancestors_alive(step):
     gc.collect()
     assert level0() is None
     assert m2.parent_mesh() is None
+
+
+def element_records(mesh):
+    """Each element's vertex coordinates in local order, tag, generation and
+    ancestor, one row per element, rows in lexicographic order."""
+    rec = np.column_stack([
+        mesh.vertices[mesh.elements].reshape(mesh.n_elements, -1),
+        mesh.tags, mesh.generation, mesh.parent_leaf])
+    return rec[np.lexsort(rec.T[::-1])]
+
+
+def assert_same_as_recursive(mesh, marked):
+    """Refine by both closures, check that they build the same mesh and
+    return the array closure's."""
+    new, ref = refine(mesh, marked), refine_recursive(mesh, marked)
+    assert new.n_vertices == ref.n_vertices
+    assert np.array_equal(np.unique(new.vertices, axis=0),
+                          np.unique(ref.vertices, axis=0))
+    assert np.array_equal(element_records(new), element_records(ref))
+    return new
+
+
+@pytest.mark.parametrize("kind", ["box", "reflected", "region"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_array_closure_matches_recursive_on_markings(d, kind):
+    if kind == "region":
+        base = build_region_mesh(d)[0]
+    else:
+        base = build_box_mesh(d, 2, reflected=kind == "reflected")
+    rng = np.random.default_rng(23)
+    for mesh in (base, refined_mesh(d, kind)):
+        for e in rng.choice(mesh.n_elements, size=min(12, mesh.n_elements),
+                            replace=False):
+            assert_same_as_recursive(mesh, [e])
+        for _ in range(3):
+            mesh = assert_same_as_recursive(mesh, rng.choice(
+                mesh.n_elements, size=max(1, mesh.n_elements // 3),
+                replace=False))
+            mesh.check_conforming()
+
+
+@pytest.mark.parametrize("d,depth", [(1, 40), (2, 24)])
+def test_array_closure_matches_recursive_toward_a_point(d, depth):
+    point = np.array([0.3141, 0.7182, 0.5772][:d + 1])
+    mesh = build_box_mesh(d, 2)
+    while mesh.generation.max() < depth:
+        near = np.argsort(np.linalg.norm(mesh.barycenters() - point, axis=1))
+        mesh = assert_same_as_recursive(mesh, near[:2])
+    mesh.check_conforming()
+
+
+@pytest.mark.parametrize("d,size", [(1, 4096), (2, 3072)])
+def test_array_closure_matches_recursive_on_uniform_rounds(d, size):
+    for mesh in (build_box_mesh(d, 1), build_region_mesh(d)[0]):
+        rounds = 0
+        while mesh.n_elements < size:
+            mesh = assert_same_as_recursive(mesh, np.arange(mesh.n_elements))
+            rounds += 1
+        assert np.all(mesh.generation == rounds)
+
+
+@pytest.mark.parametrize("d,seed,e", [(2, 0, 0), (2, 1, 0), (2, 2, 0),
+                                      (1, 0, 2)])
+def test_incompatible_refinement_edges_raise(d, seed, e):
+    # in d=2 the closure gets stuck; in d=1 (seed 0, element 2) it would
+    # close only by bisecting an element twice, past generation 1
+    m = build_box_mesh(d, 2)
+    tags = np.random.default_rng(seed).integers(1, d + 2, size=m.n_elements)
+    with pytest.raises(MeshError, match="incompatible"):
+        refine(SimplicialMesh(m.vertices, m.elements, tags), [e])
+
+
+def test_refine_rejects_non_integer_marks():
+    m = build_box_mesh(1, 2)
+    mask = np.zeros(m.n_elements, dtype=bool)
+    mask[5] = True
+    for marked in (mask, [5.7]):
+        with pytest.raises(MeshError, match="element indices"):
+            refine(m, marked)
+    assert refine(m, np.zeros(0)) is m
+
+
+def test_bisection_demo_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    demo = Path(__file__).parents[1] / "demos" / "01_mesh_and_bisection.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    assert (tmp_path / "corner_refined.vtk").stat().st_size > 0
