@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial-cells", type=int, default=2,
                    help="cells per axis of the initial grid")
     p.add_argument("--solver", choices=["gmres", "direct"], default="direct")
-    p.add_argument("--precond", choices=["none", "jacobi", "ilu0"],
+    p.add_argument("--precond", choices=["jacobi", "ilu0"],
                    default="jacobi",
                    help="GMRES preconditioner; ilu0 is SuperLU's threshold "
                         "incomplete LU with drop tolerance 1e-4 (the name "

@@ -11,12 +11,15 @@ with rho the negative weak residual.  The discretization estimate is
 eta_h = (eta_h,p + eta_h,a)/2, split into element contributions eta_i by
 multiplying the weights with the indicator function of each element, so the
 contributions telescope exactly to eta_h.
+
+The goal enters through its element vectors alone (``stfem.goals.Goal``):
+J'(u_h)(u2 - u_h) is the sum of ``goal.derivative_element_values``, so a
+weighted sum of goals needs nothing more here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,16 +32,13 @@ from .spaces import FeFunction, FeSpace, inject
 
 @dataclass
 class EstimatorBreakdown:
-    """Estimator parts, per-element indicators, and efficiency indices."""
+    """Estimator parts and per-element indicators."""
 
     eta_h_p: float
     eta_h_a: float
     eta_h: float
     eta_k: float
     local: np.ndarray
-    i_eff_h: Optional[float] = None
-    i_eff_p: Optional[float] = None
-    i_eff_a: Optional[float] = None
 
     @property
     def estimate(self) -> float:
@@ -82,13 +82,14 @@ def estimate(prob: ProblemDefinition, goal, u: FeFunction, z: FeFunction,
     eta_h_p = -float(r2 @ wz)
     eta_k = -float(r2 @ zt.coeffs)
     K2 = assemble_jacobian(space2, st, prob, order)
-    jp = goal.derivative(space2, ut, FeFunction(space2, wu))
-    eta_h_a = jp - float(zt.coeffs @ (K2 @ wu))
+    # J'(u)(w) per element; its sum is the global J'(u)(w)
+    loc_j = goal.derivative_element_values(space2, ut, wu)
+    eta_h_a = float(loc_j.sum()) - float(zt.coeffs @ (K2 @ wu))
     eta_h = 0.5 * (eta_h_p + eta_h_a)
 
     # element-restricted split of the same forms: (loc_p + loc_a) / 2
     loc_p = -residual_form_element_values(space2, st, wz, prob, order)
-    loc_a = goal.derivative_element_values(space2, ut, wu) \
+    loc_a = loc_j \
         - jacobian_form_element_values(space2, st, wu, zt.coeffs, prob, order)
     local = 0.5 * (loc_p + loc_a)
 
@@ -102,8 +103,5 @@ def efficiency(breakdown: EstimatorBreakdown, j_exact: float,
     err = j_exact - j_h
     if abs(err) < 1e-14:
         return (None, None, None)
-    i_h = breakdown.eta_h / err
-    i_p = breakdown.eta_h_p / err
-    i_a = breakdown.eta_h_a / err
-    breakdown.i_eff_h, breakdown.i_eff_p, breakdown.i_eff_a = i_h, i_p, i_a
-    return (i_h, i_p, i_a)
+    return (breakdown.eta_h / err, breakdown.eta_h_p / err,
+            breakdown.eta_h_a / err)

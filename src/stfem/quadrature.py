@@ -7,6 +7,7 @@ reference simplex is {xi_i >= 0, sum xi_i <= 1}.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import factorial
 
@@ -29,18 +30,13 @@ class QuadratureRule:
         return self.points.shape[1]
 
 
-_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def simplex_rule(dim: int, order: int) -> QuadratureRule:
     """Rule on the reference dim-simplex, exact for total degree <= order."""
     if dim < 1 or dim > 3:
         raise ValueError(f"unsupported simplex dimension {dim}")
     if order < 0 or order > MAX_ORDER:
         raise ValueError(f"unsupported quadrature order {order}")
-    key = (dim, order)
-    if key in _cache:
-        return _cache[key]
 
     npts = max(1, (order + 2) // 2)
     lines = []
@@ -70,5 +66,4 @@ def simplex_rule(dim: int, order: int) -> QuadratureRule:
         wts.append(w)
     rule = QuadratureRule(np.array(pts), np.array(wts), order)
     assert abs(rule.weights.sum() - 1.0 / factorial(dim)) < 1e-14
-    _cache[key] = rule
     return rule

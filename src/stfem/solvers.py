@@ -47,14 +47,14 @@ class LinearSolverConfig:
     kind: str = "direct"  # "direct" or "gmres"
     gmres_rel_tol: float = 1e-8
     gmres_max_iter: int = 100
-    # "none", "jacobi", or "ilu0": SuperLU's threshold incomplete LU with
+    # "jacobi" or "ilu0": SuperLU's threshold incomplete LU with
     # drop tolerance 1e-4 (ILU_DROP_TOL), named "ilu0" for existing scripts
     preconditioner: str = "jacobi"
 
     def __post_init__(self):
         if self.kind not in ("direct", "gmres"):
             raise ValueError(f"unknown linear solver kind {self.kind!r}")
-        if self.preconditioner not in ("none", "jacobi", "ilu0"):
+        if self.preconditioner not in ("jacobi", "ilu0"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if self.gmres_rel_tol <= 0:
             raise ValueError("GMRES tolerance must be positive")
@@ -156,8 +156,6 @@ class Ilu0:
 
 
 def make_preconditioner(K: sp.csr_matrix, kind: str):
-    if kind == "none":
-        return None
     if kind == "jacobi":
         d = K.diagonal()
         if np.any(d == 0.0):

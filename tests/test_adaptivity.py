@@ -152,12 +152,12 @@ def test_csv_field_order_is_stable():
 
 def test_capped_adjoint_gmres_fails_the_run(monkeypatch):
     # the Newton solves stay direct and converge; only the adjoint solves
-    # run one unpreconditioned GMRES step and stop at that cap
+    # run one Jacobi-preconditioned GMRES step and stop at that cap
     from stfem import adaptivity
     from stfem.cli import main
 
     capped = LinearSolverConfig(kind="gmres", gmres_max_iter=1,
-                                preconditioner="none")
+                                preconditioner="jacobi")
     solve_adjoint = adaptivity.solve_adjoint
     adjoint_ok = []
 

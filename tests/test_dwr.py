@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -172,3 +175,12 @@ def test_global_parts_match_elementwise_sums():
     # agreement validates both routes
     assert bd.local.sum() == pytest.approx(
         0.5 * (bd.eta_h_p + bd.eta_h_a), rel=1e-11)
+
+
+def test_estimator_anatomy_demo_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    demo = Path(__file__).parents[1] / "demos" / "04_estimator_anatomy.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "efficiency indices: I_eff_h" in out
+    assert "telescopes to eta_h" in out

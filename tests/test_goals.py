@@ -1,10 +1,13 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
-from stfem.goals import (FinalTimeIntegralGoal, GoalError, RegionEnergyGoal,
-                         eval_goal, goal_derivative)
+from stfem.cli import REGION_GOAL_P4
+from stfem.goals import (FACET_ORDER, FinalTimeIntegralGoal, GoalError,
+                         RegionEnergyGoal, eval_goal, goal_derivative)
 from stfem.mesh import (build_box_mesh, build_region_mesh, diamond_region,
-                        refine, uniform_refine)
+                        octahedron_region, refine, uniform_refine)
 from stfem.problems import smooth_product_solution
 from stfem.quadrature import simplex_rule
 from stfem.spaces import (FeFunction, FeSpace, interpolate, tabulate_shape,
@@ -135,13 +138,13 @@ def test_region_gradient_matches_physical_gradient_einsum(d, degree):
     ref = np.zeros(V.n_dofs)
     np.add.at(ref, V.elem_dofs, g_loc)
     ref[V.constrained] = 0.0
-    got = goal.gradient(V, u, order)
+    got = goal.gradient(V, u)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     # the element split of J'(u)(w), against the same per-point reference
     w = np.random.default_rng(10).normal(size=V.n_dofs)
     wg = np.einsum("eqai,ea->eqi", gphi, w[V.elem_dofs])
     ref_e = np.einsum("eq,eqi,eqi->e", b["scale"], dens[..., None] * gx, wg)
-    got_e = goal.derivative_element_values(V, u, w, order)
+    got_e = goal.derivative_element_values(V, u, w)
     assert np.abs(got_e - ref_e).max() <= 1e-12 * np.abs(ref_e).max()
 
 
@@ -186,9 +189,10 @@ def test_final_time_goal_matches_facet_loop(d, degree):
     mesh = refine(mesh, np.arange(0, mesh.n_elements, 3))
     V = FeSpace(mesh, degree)
     goal = FinalTimeIntegralGoal()
-    rule = simplex_rule(d, goal.facet_order)
+    rule = simplex_rule(d, FACET_ORDER)
     _jac, inv_jac_t, _det = V.geometry()
     w = np.random.default_rng(12).normal(size=V.n_dofs)
+    table = np.zeros((mesh.n_elements, V.n_local))
     g = np.zeros(V.n_dofs)
     loc = np.zeros(mesh.n_elements)
     # top facets from the element-local facets, not the mesh's boundary table
@@ -204,8 +208,61 @@ def test_final_time_goal_matches_facet_loop(d, degree):
         x0 = mesh.vertices[mesh.elements[elem, 0]]
         ref = (F[0] + rule.points @ E - x0) @ inv_jac_t[elem]
         vals, _ = tabulate_shape(d + 1, degree, ref)
+        table[elem] += scale * (rule.weights @ vals)
         np.add.at(g, V.elem_dofs[elem], scale * (rule.weights @ vals))
         loc[elem] += scale * (rule.weights @ (vals @ w[V.elem_dofs[elem]]))
-    assert np.array_equal(goal._facet_vector(V), g)
+    assert np.array_equal(goal.element_vectors(V, None), table)
+    g[V.constrained] = 0.0
+    assert np.array_equal(goal.gradient(V, None), g)
     got = goal.derivative_element_values(V, None, w)
     assert np.abs(got - loc).max() <= 1e-14 * np.abs(loc).max()
+
+
+# children of the reference simplex under one uniform (red) subdivision, as
+# indices into its vertices followed by its edge midpoints in the order
+# m01, m02, (m03,) m12, (m13, m23)
+RED_CHILDREN = {
+    2: [(0, 3, 4), (3, 1, 5), (4, 5, 2), (3, 5, 4)],
+    3: [(0, 4, 5, 6), (4, 1, 7, 8), (5, 7, 2, 9), (6, 8, 9, 3),
+        (4, 5, 6, 8), (4, 5, 7, 8), (5, 6, 8, 9), (5, 7, 8, 9)],
+}
+
+
+def red_subdivide(simplices):
+    """Each simplex of (n, D+1, D) vertex coordinates split into 2^D."""
+    D = simplices.shape[-1]
+    edges = [(i, j) for i in range(D + 1) for j in range(i + 1, D + 1)]
+    mids = [(simplices[:, i] + simplices[:, j]) / 2 for i, j in edges]
+    pts = np.concatenate([simplices, np.stack(mids, axis=1)], axis=1)
+    return pts[:, RED_CHILDREN[D]].reshape(-1, D + 1, D)
+
+
+@pytest.mark.parametrize("d,rounds", [(1, 3), (2, 2)])
+def test_region_goal_oracles_match_quadrature(d, rounds):
+    # the region split into simplices around its center: the diamond into
+    # 4 triangles, the octahedron into 8 tetrahedra (one per face)
+    c = np.full(d + 1, 0.5)
+    if d == 1:
+        ring = c + 0.25 * np.array([[1, 0], [0, 1], [-1, 0], [0, -1]])
+        simplices = np.array([[c, ring[i], ring[(i + 1) % 4]]
+                              for i in range(4)])
+        volume = diamond_region().volume
+    else:
+        ring = c + 0.25 * np.array([[1, 1, 0], [-1, 1, 0], [-1, -1, 0],
+                                    [1, -1, 0]])
+        apexes = c + np.array([[0, 0, 1], [0, 0, -1]]) * 0.25 * np.sqrt(2.0)
+        simplices = np.array([[c, apex, ring[i], ring[(i + 1) % 4]]
+                              for apex in apexes for i in range(4)])
+        volume = octahedron_region().volume
+    for _ in range(rounds):
+        simplices = red_subdivide(simplices)
+    E = simplices[:, 1:] - simplices[:, :1]
+    det = np.abs(np.linalg.det(E))
+    assert det.sum() / factorial(d + 1) == pytest.approx(
+        volume, rel=1e-14)
+    rule = simplex_rule(d + 1, 12)
+    pts = simplices[:, :1] + rule.points @ E  # (n, nq, D)
+    gx = smooth_product_solution(d).grad(pts.reshape(-1, d + 1))
+    dens = np.sum(gx * gx, axis=1) ** 2  # |grad_x u|^4
+    J = np.sum(det[:, None] * rule.weights * dens.reshape(len(det), -1))
+    assert J == pytest.approx(REGION_GOAL_P4[d], rel=1e-12, abs=0.0)
