@@ -6,10 +6,11 @@ enriched counterparts, localizes the dual-weighted residual estimator, marks a
 minimal bulk of elements, and refines.  Uniform mode refines everything and
 skips the estimation stages.
 
-The enriched primal Newton is warm-started too: bisection keeps the degree-2
-spaces nested, so the previous level's enriched solution transfers exactly to
-the refined mesh.  The first level, and any level whose previous enriched
-Newton did not converge, starts from the injected primal solution instead.
+The enriched Newton starts from the previous level's enriched solution (from
+the injected primal one on the first level and after an unconverged stage),
+solves z2 with each iterate's factor, and from the first step on stops once
+|rho_2(u2)(z2)| <= ENRICHED_GUARD |eta_h| (Meidner, Rannacher & Vihharev,
+J. Numer. Math. 17 (2009)).  A record is converged only if all its solves are.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .problems import ProblemDefinition
 from .solvers import (LinearSolverConfig, NewtonConfig, newton_solve,
                       random_initial_guess, solve_adjoint)
 from .spaces import FeFunction, FeSpace, error_norms, inject, transfer
+
+# fraction of |eta_h| allowed to the enriched iteration error rho_2(u2)(z2)
+ENRICHED_GUARD = 0.1
 
 
 @dataclass
@@ -119,7 +123,7 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
                   callback=None) -> AdaptiveResult:
     """Run the adaptive (or uniform) refinement loop until the dof budget or
     level cap is reached.  Solver failures are recorded and the loop proceeds;
-    the result is converged only if every Newton and adjoint solve was.
+    the result is converged only if every level's record is.
     """
     cfg = cfg or AdaptiveConfig()
     ncfg = ncfg or NewtonConfig()
@@ -149,7 +153,6 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
                                 converged=stats.converged)
         rec.newton_tol = max(ncfg.abs_tol,
                              ncfg.rel_tol * stats.residual_history[0])
-        all_ok = all_ok and stats.converged
 
         if goal is not None:
             rec.J_h = goal.value(space, u)
@@ -161,19 +164,25 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
 
         if cfg.mode == "dwr":
             z, zres = solve_adjoint(space, u, goal, prob, lcfg, order)
-            rec.inner_iters += zres.iters
             space2 = enrich(space)
-            if u2_prev is not None:
-                init2 = transfer(u2_prev, space2)
-            else:
-                init2 = inject(u, space2)
-            u2, stats2 = newton_solve(prob, space2, init2, ncfg, lcfg, order)
+            init2 = inject(u, space2) if u2_prev is None \
+                else transfer(u2_prev, space2)
+            bd = None
+
+            def guard(u2, r2, z2):
+                nonlocal bd
+                bd = estimate(prob, goal, u, z, u2, z2, order)
+                return abs(r2 @ z2.coeffs) <= ENRICHED_GUARD * abs(bd.eta_h)
+
+            u2, stats2 = newton_solve(prob, space2, init2, ncfg, lcfg, order,
+                                      goal, guard)
             u2_prev = u2 if stats2.converged else None
-            z2, z2res = solve_adjoint(space2, u2, goal, prob, lcfg, order)
-            rec.inner_iters += stats2.total_inner_iters + z2res.iters
-            all_ok = all_ok and stats2.converged \
-                and zres.converged and z2res.converged
-            bd = estimate(prob, goal, u, z, u2, z2, order)
+            if bd is None:  # the line search failed at the start
+                z2, _ = solve_adjoint(space2, u2, goal, prob, lcfg, order)
+                bd = estimate(prob, goal, u, z, u2, z2, order)
+            rec.inner_iters += zres.iters + stats2.total_inner_iters
+            rec.converged = stats.converged and zres.converged \
+                and stats2.converged
             rec.eta_h_p, rec.eta_h_a = bd.eta_h_p, bd.eta_h_a
             rec.eta_h, rec.eta_k = bd.eta_h, bd.eta_k
             rec.pu_gap = abs(bd.local.sum() - bd.eta_h)
@@ -183,6 +192,7 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
                 if ih is not None:
                     rec.I_eff_h, rec.I_eff_p, rec.I_eff_a = ih, ip, ia
 
+        all_ok = all_ok and rec.converged
         records.append(rec)
         if callback is not None:
             callback(level, mesh, space, u, rec)

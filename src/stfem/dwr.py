@@ -12,6 +12,10 @@ eta_h = (eta_h,p + eta_h,a)/2, split into element contributions eta_i by
 multiplying the weights with the indicator function of each element, so the
 contributions telescope exactly to eta_h.
 
+(u2, z2) need only the estimator's accuracy: z2 solves K(u2)^T z2 = J'(u2)
+at the last enriched Newton iterate, which stops once |rho_2(u2)(z2)| <=
+0.1 |eta_h| (``adaptivity.ENRICHED_GUARD``).
+
 The goal enters through its element vectors alone (``stfem.goals.Goal``):
 J'(u_h)(u2 - u_h) is the sum of ``goal.derivative_element_values``, so a
 weighted sum of goals needs nothing more here.

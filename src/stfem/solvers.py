@@ -66,6 +66,7 @@ class LinearSolveResult:
     iters: int
     converged: bool
     residual_history: list = field(default_factory=list)
+    transposed: LinearSolveResult | None = None  # K^T y = bt, given bt
 
 
 @dataclass
@@ -76,6 +77,7 @@ class SolveStats:
     converged: bool = False
     residual_history: list = field(default_factory=list)
     inner_converged: bool = True
+    adjoint: FeFunction | None = None  # z at the returned u, given a goal
 
 
 def gmres(matvec, b: np.ndarray, rel_tol: float = 1e-8, max_iter: int = 100,
@@ -151,26 +153,28 @@ class Ilu0:
     def __init__(self, A: sp.spmatrix):
         self._factor = spla.spilu(sp.csc_matrix(A), drop_tol=ILU_DROP_TOL)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._factor.solve(b)
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        return self._factor.solve(b, trans)
 
 
 def make_preconditioner(K: sp.csr_matrix, kind: str):
+    """``apply(v, trans="N")`` for K, or for K^T with ``trans="T"``."""
     if kind == "jacobi":
         d = K.diagonal()
         if np.any(d == 0.0):
             raise RuntimeError("Jacobi preconditioner needs a nonzero "
                                "diagonal")
         inv = 1.0 / d
-        return lambda v: inv * v
+        return lambda v, trans="N": inv * v
     if kind == "ilu0":
         return Ilu0(K).solve
     raise ValueError(f"unknown preconditioner {kind!r}")
 
 
-def linear_solve(K: sp.spmatrix, b: np.ndarray,
-                 cfg: LinearSolverConfig) -> LinearSolveResult:
-    """Solve K x = b by the configured method.
+def linear_solve(K: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig,
+                 bt: np.ndarray = None) -> LinearSolveResult:
+    """Solve K x = b by the configured method; with ``bt``, the same LU or
+    preconditioner also solves K^T y = bt, returned as ``transposed``.
 
     Direct solves use a sparse LU factorization.  A singular factorization,
     a preconditioner that cannot be built, and a GMRES solve that stops at
@@ -178,22 +182,29 @@ def linear_solve(K: sp.spmatrix, b: np.ndarray,
     """
     if K.shape[0] != K.shape[1] or K.shape[0] != b.shape[0]:
         raise ValueError("system dimensions do not match")
-    if cfg.kind == "direct":
-        try:
-            lu = spla.splu(sp.csc_matrix(K))
-            x = lu.solve(b)
-        except RuntimeError:  # singular factorization is reported, not raised
-            return LinearSolveResult(np.zeros_like(b), 0, False, [])
-        if not np.all(np.isfinite(x)):
-            return LinearSolveResult(np.zeros_like(b), 0, False, [])
+    if cfg.kind == "gmres":
+        K = sp.csr_matrix(K)
+    try:  # apply(v, trans) by the LU of K or the preconditioner built from K
+        apply = spla.splu(sp.csc_matrix(K)).solve if cfg.kind == "direct" \
+            else make_preconditioner(K, cfg.preconditioner)
+    except RuntimeError:  # a singular factor is reported, not raised
+        apply = None
+
+    def solve(rhs, trans):
+        if apply is not None and cfg.kind == "gmres":
+            A = K if trans == "N" else K.T
+            return gmres(lambda v: A @ v, rhs, cfg.gmres_rel_tol,
+                         cfg.gmres_max_iter,
+                         right_prec=lambda v: apply(v, trans))
+        x = None if apply is None else apply(rhs, trans)
+        if x is None or not np.all(np.isfinite(x)):
+            return LinearSolveResult(np.zeros_like(rhs), 0, False, [])
         return LinearSolveResult(x, 1, True, [])
-    K = sp.csr_matrix(K)
-    try:
-        prec = make_preconditioner(K, cfg.preconditioner)
-    except RuntimeError:  # singular preconditioner, as for the direct LU
-        return LinearSolveResult(np.zeros_like(b), 0, False, [])
-    return gmres(lambda v: K @ v, b, cfg.gmres_rel_tol, cfg.gmres_max_iter,
-                 right_prec=prec)
+
+    res = solve(b, "N")
+    if bt is not None:
+        res.transposed = solve(bt, "T")
+    return res
 
 
 def random_initial_guess(space: FeSpace, seed: int = 0,
@@ -207,12 +218,19 @@ def random_initial_guess(space: FeSpace, seed: int = 0,
 
 def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
                  ncfg: NewtonConfig = None, lcfg: LinearSolverConfig = None,
-                 order: int = None) -> tuple[FeFunction, SolveStats]:
+                 order: int = None, goal=None,
+                 stop=None) -> tuple[FeFunction, SolveStats]:
     """Damped Newton iteration for the nonlinear space-time system.
 
     The step length is halved until the residual norm decreases; close to the
     solution the full step is always accepted.  Inner solver failures are
     recorded and the iteration continues with the returned correction.
+
+    With a ``goal``, from the first step on (and at the tolerance or the
+    cap) the factor of each iterate's Jacobian also solves the adjoint
+    K(u)^T z = J'(u) there, and the iteration ends converged once
+    ``stop(u, r, z)`` holds.  ``stats.adjoint`` is z at the returned u, and
+    must converge too; it is None if the line search fails at the start.
     """
     ncfg = ncfg or NewtonConfig()
     lcfg = lcfg or LinearSolverConfig()
@@ -224,12 +242,26 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
     rnorm = np.linalg.norm(r)
     tol = max(ncfg.abs_tol, ncfg.rel_tol * rnorm)
     stats = SolveStats(residual_history=[rnorm])
-    while rnorm > tol and stats.newton_iters < ncfg.max_iter:
-        K = assemble_jacobian(space, state, prob, order)
-        res = linear_solve(K, -r, lcfg)
+    zres = None  # the adjoint solve at the current iterate, given a goal
+    while True:
+        met = rnorm <= tol
+        # a NaN residual also ends the iteration, unconverged
+        last = not rnorm > tol or stats.newton_iters >= ncfg.max_iter
+        if last and goal is None:
+            break
+        probe = goal is not None and (stats.newton_iters > 0 or last)
+        res = linear_solve(assemble_jacobian(space, state, prob, order), -r,
+                           lcfg, goal.gradient(space, u) if probe else None)
         stats.total_inner_iters += res.iters
         if not res.converged:
             stats.inner_converged = False
+        if probe:
+            zres = res.transposed
+            stats.total_inner_iters += zres.iters
+            stats.adjoint = FeFunction(space, zres.x)
+            met = stop(u, r, stats.adjoint) or met
+            if met or last:
+                break
         w = res.x
         lam = 1.0
         accepted = False
@@ -249,7 +281,7 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
         stats.newton_iters += 1
         stats.residual_history.append(rnorm)
     stats.final_residual_norm = rnorm
-    stats.converged = bool(rnorm <= tol)
+    stats.converged = bool(met) and (zres is None or zres.converged)
     return u, stats
 
 

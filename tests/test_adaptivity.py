@@ -106,11 +106,11 @@ SEED7_COUNTS = {
     (2, "direct", "jacobi", 207): (
         [27, 30, 33, 43, 72, 82, 114, 157, 207],
         [7, 5, 5, 6, 4, 4, 5, 5, 4],
-        [18, 12, 11, 13, 10, 10, 11, 11, 10]),
+        [13, 9, 9, 10, 8, 8, 9, 9, 8]),
     (1, "gmres", "ilu0", 107): (
-        [9, 10, 11, 13, 17, 21, 24, 32, 37, 49, 74, 107],
-        [6, 6, 4, 5, 5, 6, 5, 4, 4, 4, 5, 6],
-        [25, 16, 17, 16, 16, 20, 16, 24, 21, 23, 35, 40]),
+        [9, 10, 11, 13, 19, 22, 27, 33, 42, 63, 83, 109],
+        [6, 6, 4, 5, 4, 4, 4, 4, 4, 5, 4, 5],
+        [15, 10, 11, 12, 12, 13, 13, 18, 18, 25, 20, 26]),
 }
 
 
@@ -143,6 +143,22 @@ def test_loop_continues_after_newton_failure():
     assert any(not r.converged for r in result.records)
 
 
+def test_stalled_enriched_newton_still_gives_an_estimate():
+    # with no line-search trial every Newton stops at its start, before the
+    # guard is first called; the level is still estimated and marked, and
+    # its record reports the failure
+    prob = smooth_problem(1, p=4.0, eps=1e-5)
+    prob.exact_goal = EXACT_GOAL_D1
+    cfg = AdaptiveConfig(mode="dwr", theta=0.5, max_dofs=400, max_levels=3)
+    result = adaptive_loop(prob, FinalTimeIntegralGoal(), build_box_mesh(1, 2),
+                           cfg, NewtonConfig(max_line_search_steps=0), DIRECT)
+    assert not result.converged and len(result.records) == 3
+    for rec in result.records:
+        assert not rec.converged and rec.newton_iters == 0
+        assert np.isfinite(rec.eta_h)
+        assert rec.pu_gap <= 1e-10 * max(1.0, abs(rec.eta_h))
+
+
 def test_csv_field_order_is_stable():
     assert ConvergenceRecord.CSV_FIELDS == (
         "level", "dofs", "elements", "J_h", "J_error", "eta_h", "eta_h_p",
@@ -171,8 +187,10 @@ def test_capped_adjoint_gmres_fails_the_run(monkeypatch):
     cfg = AdaptiveConfig(mode="dwr", theta=0.5, max_dofs=400, max_levels=2)
     result = adaptive_loop(prob, FinalTimeIntegralGoal(), build_box_mesh(1, 2),
                            cfg, lcfg=DIRECT)
-    assert all(r.converged for r in result.records)
     assert adjoint_ok and not any(adjoint_ok)
+    # every level's record reports its capped adjoint
+    assert len(result.records) == len(adjoint_ok) == 2
+    assert not any(r.converged for r in result.records)
     assert result.converged is False
 
     assert main(["--preset", "linear_goal", "--max-dofs", "50",
@@ -242,26 +260,69 @@ def test_unconverged_enriched_solve_falls_back_to_injection(monkeypatch):
     assert np.array_equal(init.coeffs, warm_start(p2[1][1], init.space))
 
 
-def test_warm_and_injected_enriched_starts_give_the_same_estimate(
+def test_enriched_stage_meets_its_guard_near_the_converged_estimate(
         monkeypatch):
-    from stfem import adaptivity, dwr, solvers
+    # the enriched Newton stops early, once |rho_2(u2)(z2)| is at most
+    # ENRICHED_GUARD |eta_h|; eta_h then stays close to the estimate from a
+    # fully converged enriched solve started at inject(u)
+    from stfem import adaptivity
+    from stfem.adaptivity import ENRICHED_GUARD
+    from stfem.assembly import assemble_residual
+    from stfem.dwr import estimate
+    from stfem.solvers import newton_solve, solve_adjoint
 
-    pairs = []
+    enriched = []
 
-    def both_starts(prob, goal, u, z, u2, z2, order=None):
-        bd = dwr.estimate(prob, goal, u, z, u2, z2, order)
-        V2 = u2.space
-        u2i, stats = solvers.newton_solve(prob, V2, inject(u, V2),
-                                          NewtonConfig(), DIRECT, order)
-        z2i, zres = solvers.solve_adjoint(V2, u2i, goal, prob, DIRECT, order)
-        assert stats.converged and zres.converged
-        cold = dwr.estimate(prob, goal, u, z, u2i, z2i, order)
-        pairs.append((bd.eta_h, cold.eta_h))
-        return bd
+    def recording(prob, space, init, *args, **kwargs):
+        u2, stats = newton_solve(prob, space, init, *args, **kwargs)
+        if space.degree == 2:
+            enriched.append((u2, stats))
+        return u2, stats
 
-    monkeypatch.setattr(adaptivity, "estimate", both_starts)
-    result = final_time_loop_d1(max_levels=25)
+    monkeypatch.setattr(adaptivity, "newton_solve", recording)
+    prob = smooth_problem(1, p=4.0, eps=1e-5)
+    prob.exact_goal = EXACT_GOAL_D1
+    goal = FinalTimeIntegralGoal()
+    levels = []
+    result = adaptive_loop(
+        prob, goal, build_box_mesh(1, 2),
+        AdaptiveConfig(mode="dwr", theta=0.5, max_dofs=400, max_levels=25),
+        lcfg=DIRECT,
+        callback=lambda lev, mesh, V, u, rec: levels.append((V, u, rec)))
     assert result.converged
-    assert len(pairs) == len(result.records) >= 8
-    for warm, cold in pairs:
-        assert warm == pytest.approx(cold, rel=1e-7)
+    assert len(enriched) == len(levels) >= 8
+    order = 6  # the loop's quadrature order for dwr at degree 1
+    for (V, u, rec), (u2, stats) in zip(levels, enriched):
+        V2 = u2.space
+        r2 = assemble_residual(V2, u2, prob, order)
+        assert abs(r2 @ stats.adjoint.coeffs) \
+            <= ENRICHED_GUARD * abs(rec.eta_h)
+        z, _ = solve_adjoint(V, u, goal, prob, DIRECT, order)
+        u2c, stc = newton_solve(prob, V2, inject(u, V2), NewtonConfig(),
+                                DIRECT, order)
+        z2c, zc = solve_adjoint(V2, u2c, goal, prob, DIRECT, order)
+        assert stc.converged and zc.converged
+        full = estimate(prob, goal, u, z, u2c, z2c, order).eta_h
+        # measured 1.7e-1 and 5.7e-2 on levels 0-1, <= 8.6e-3 from level 2
+        bound = {0: 0.2, 1: 0.1}.get(rec.level, 1e-2)
+        assert abs(rec.eta_h - full) <= bound * abs(full)
+
+
+def test_region_goal_loop_d1_converges_on_every_level():
+    # the region goal's estimate changes sign where J - J_h crosses zero;
+    # the early-stopped enriched Newton must still converge on every level
+    from stfem.cli import REGION_GOAL_P4
+    from stfem.goals import RegionEnergyGoal
+    from stfem.mesh import build_region_mesh
+
+    prob = smooth_problem(1, p=4.0, eps=1e-5)
+    prob.exact_goal = REGION_GOAL_P4[1]
+    mesh, region = build_region_mesh(1)
+    result = adaptive_loop(prob, RegionEnergyGoal(region, 4.0, mesh), mesh,
+                           AdaptiveConfig(mode="dwr", theta=0.5,
+                                          max_dofs=600),
+                           lcfg=DIRECT)
+    recs = result.records
+    assert result.converged and recs[-1].dofs >= 600
+    assert all(r.converged for r in recs)
+    assert all(np.isfinite(r.I_eff_h) for r in recs)

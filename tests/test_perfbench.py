@@ -12,19 +12,32 @@ from pathlib import Path
 ROOT = Path(__file__).parents[1]
 
 
-def test_traced_worker_sees_every_wrapped_layer(tmp_path):
+def run_worker(tmp_path, workload: str, trace: int) -> list:
+    """One worker repetition at seed 7; its stdout as JSON lines."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "worker.py"),
-         "--workload", "dwr_final_time_1d_ilu0", "--seed", "7", "--trace", "1",
+         "--workload", workload, "--seed", "7", "--trace", str(trace),
          "--out-dir", str(tmp_path), "--spawned", repr(time.monotonic())],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])["result"]
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_traced_worker_sees_every_wrapped_layer(tmp_path):
+    result = run_worker(tmp_path, "dwr_final_time_1d_ilu0", 1)[-1]["result"]
     assert result["failures"] == {}
     layers = result["layers"]
     for name in ("goals.calls", "assembly.form_values_s",
                  "solvers.precond_setup_s", "dwr.estimate_s"):
         assert layers[name] > 0, name
+
+
+def test_untraced_2d_worker_passes_every_level_check(tmp_path):
+    # the d=2 final-time workload as the benchmark runs it: every level's
+    # I_eff band, partition-of-unity gap and solver convergence hold
+    lines = run_worker(tmp_path, "dwr_final_time_2d", 0)
+    assert lines[-1]["result"]["failures"] == {}
+    assert len(lines) - 1 == 9  # one line per level, then the result

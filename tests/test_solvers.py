@@ -113,10 +113,12 @@ def test_direct_singular_reported_not_raised():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
     for cfg in (DIRECT, GMRES_ILU,
                 LinearSolverConfig(kind="gmres", preconditioner="jacobi")):
-        res = linear_solve(A, np.array([1.0, 2.0]), cfg)
-        assert not res.converged
-        assert res.iters == 0
-        assert np.all(res.x == 0.0)
+        res = linear_solve(A, np.array([1.0, 2.0]), cfg,
+                           bt=np.array([1.0, 2.0]))
+        for out in (res, res.transposed):
+            assert not out.converged
+            assert out.iters == 0
+            assert np.all(out.x == 0.0)
 
 
 def test_newton_linear_problem_single_iteration():
@@ -204,6 +206,91 @@ def test_newton_iteration_cap_reports_failure():
                             NewtonConfig(max_iter=2), DIRECT)
     assert not stats.converged
     assert stats.newton_iters == 2
+
+
+def enriched_newton(lcfg, stop, ncfg=None):
+    """Enriched Newton with a goal on a d=2 mesh, started at the injected
+    primal solution; the loop's quadrature order 6."""
+    prob = smooth_problem(2, p=4.0, eps=1e-5)
+    goal = FinalTimeIntegralGoal()
+    V = FeSpace(build_box_mesh(2, 2), 1)
+    u, _ = newton_solve(prob, V, random_initial_guess(V, seed=0),
+                        lcfg=DIRECT, order=6)
+    V2 = enrich(V)
+    u2, stats = newton_solve(prob, V2, inject(u, V2), ncfg, lcfg, 6, goal,
+                             stop)
+    return prob, goal, u2, stats
+
+
+@pytest.mark.parametrize("lcfg", [DIRECT, GMRES_ILU], ids=["direct", "ilu0"])
+def test_iterate_factor_solves_the_enriched_adjoint(lcfg):
+    # the LU (or incomplete LU) of each iterate's Jacobian also solves
+    # K(u2)^T z2 = J'(u2) at that iterate, as solve_adjoint does
+    seen = []
+
+    def stop(u2, r2, z2):
+        seen.append((u2, r2, z2))
+        return False
+
+    prob, goal, u2, stats = enriched_newton(lcfg, stop)
+    assert stats.converged
+    # called from the first step on; the last call is at the returned iterate
+    assert len(seen) == stats.newton_iters >= 3
+    assert seen[-1][0] is u2 and seen[-1][2] is stats.adjoint
+    for u2k, r2k, z2k in seen:
+        V2 = u2k.space
+        assert np.array_equal(r2k, assemble_residual(V2, u2k, prob, 6))
+        z_ref, res = solve_adjoint(V2, u2k, goal, prob, lcfg, 6)
+        assert res.converged
+        rel = np.linalg.norm(z2k.coeffs - z_ref.coeffs) \
+            / np.linalg.norm(z_ref.coeffs)
+        if lcfg.kind == "direct":
+            assert rel <= 1e-12
+        else:
+            K = assemble_jacobian(V2, u2k, prob, 6)
+            g = goal.gradient(V2, u2k)
+            assert np.linalg.norm(K.T @ z2k.coeffs - g) \
+                <= lcfg.gmres_rel_tol * np.linalg.norm(g)
+            assert rel <= 1e-6
+
+
+def test_guard_ends_the_enriched_newton_after_the_first_step():
+    calls = []
+
+    def stop(u2, r2, z2):
+        calls.append(u2)
+        return True
+
+    _prob, _goal, u2, stats = enriched_newton(DIRECT, stop)
+    assert stats.converged and stats.newton_iters == 1
+    assert len(calls) == 1 and calls[0] is u2
+    assert stats.adjoint is not None
+    # not reached by the residual tolerance
+    assert stats.final_residual_norm > 1e-9 * stats.residual_history[0]
+
+
+def test_unconverged_enriched_adjoint_fails_the_solve():
+    # the guard holds after the first step, but one GMRES iteration leaves
+    # the adjoint at that iterate unconverged
+    capped = LinearSolverConfig(kind="gmres", gmres_max_iter=1,
+                                preconditioner="jacobi")
+    _prob, _goal, _u2, stats = enriched_newton(capped, lambda *_: True)
+    assert stats.newton_iters == 1 and stats.adjoint is not None
+    assert not stats.converged
+
+
+def test_capped_enriched_newton_reports_failure():
+    calls = []
+
+    def stop(u2, r2, z2):
+        calls.append(u2)
+        return False
+
+    _prob, _goal, u2, stats = enriched_newton(DIRECT, stop,
+                                              NewtonConfig(max_iter=2))
+    assert not stats.converged and stats.newton_iters == 2
+    # the guard sees both iterates after a step, the last one at the cap
+    assert len(calls) == 2 and calls[-1] is u2
 
 
 def test_adjoint_zero_goal_gradient():
