@@ -15,18 +15,19 @@ localize the error estimator contract them with the test function's element
 coefficients, which are never evaluated at quadrature points.
 
 A state's data at the quadrature points (``QuadratureState``: gradients,
-|grad_x u|^2 + eps^2 and its one fractional power) is computed once per
-Newton iterate and shared by every form evaluated there, each term at the
-order it needs (``quadrature_state``): a degree-1 state at one point per
-element, where it is constant, and the load int f phi, cached per space, at
-the requested order.  The Jacobian applies the flux derivative in rank-one
-form, a I + (p-2)(a/s) g g^T, and never stores it per point.  Matrices are
-summed by one ``np.bincount`` into the sparsity pattern that
-``FeSpace.csr_pattern`` builds once per space.
+|grad_x u|^2 + eps^2, its one fractional power and the residual element
+vectors) is computed once per Newton iterate and shared by every form
+evaluated there, each term at the order it needs (``quadrature_state``): a
+degree-1 state at one point per element, where it is constant, and the load
+int f phi, cached per space, at the requested order.  The Jacobian applies
+the flux derivative in rank-one form, a I + (p-2)(a/s) g g^T, and never
+stores it per point.  Matrices are summed by one ``np.bincount`` into the
+sparsity pattern that ``FeSpace.csr_pattern`` builds once per space.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,18 @@ class QuadratureState:
     s: np.ndarray
     a: np.ndarray
 
+    @functools.cached_property
+    def residual(self) -> np.ndarray:
+        """Residual element vectors at u, evaluated once per state (read-only):
+        the global residual and the estimator's element values share them."""
+        space = self.u.space
+        b = space.batch(self.qorder)
+        r = (b["scale"] * self.ut) @ b["values"]
+        r += space.integrate_grad_x(self.qorder, self.a[..., None] * self.gx)
+        r -= space.load_vectors(self.prob.source, self.order)
+        r.flags.writeable = False
+        return r
+
 
 def quadrature_state(space: FeSpace, u, prob: ProblemDefinition,
                      order: int = None) -> QuadratureState:
@@ -126,12 +139,7 @@ def residual_element_vectors(space: FeSpace, u, prob: ProblemDefinition,
     No boundary conditions are applied; summing entry [e, a] into dof
     elem_dofs[e, a] gives the raw residual vector.
     """
-    st = quadrature_state(space, u, prob, order)
-    b = space.batch(st.qorder)
-    r = (b["scale"] * st.ut) @ b["values"]
-    r += space.integrate_grad_x(st.qorder, st.a[..., None] * st.gx)
-    r -= space.load_vectors(prob.source, st.order)
-    return r
+    return quadrature_state(space, u, prob, order).residual
 
 
 def assemble_residual(space: FeSpace, u, prob: ProblemDefinition,

@@ -78,7 +78,8 @@ def estimate(prob: ProblemDefinition, goal, u: FeFunction, z: FeFunction,
     wz = z2.coeffs - zt.coeffs
     wu = u2.coeffs - ut.coeffs
 
-    # one quadrature state at inject(u) serves every form below
+    # one quadrature state at inject(u) serves every form below; its
+    # residual element vectors, evaluated once, give both r2 and loc_p
     st = quadrature_state(space2, ut, prob, order)
 
     # global parts via assembled operators

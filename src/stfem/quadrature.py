@@ -1,20 +1,39 @@
 """Quadrature rules on reference simplices.
 
-Rules are conical products of Gauss-Jacobi lines (Duffy construction), so all
-weights are positive and any polynomial exactness degree is available.  The
-reference simplex is {xi_i >= 0, sum xi_i <= 1}.
+Triangles at orders 4 and 6 (6 and 12 points, Dunavant, IJNME 21 (1985)) and
+tetrahedra at order 6 (24 points, Keast, CMAME 55 (1986)) have tabulated
+fully symmetric rules; every other order is a conical product of
+Gauss-Jacobi lines (Duffy construction).  All weights are positive and all
+points interior.  The reference simplex is {xi_i >= 0, sum xi_i <= 1}.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import permutations
 from math import factorial
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 MAX_ORDER = 12
+
+# Orbits of the symmetric rules, solved from the moment equations to 1e-60:
+# the first dim barycentric coordinates of one point (the last is 1 minus
+# their sum; the orbit is their distinct permutations) and each point's weight.
+_SYMMETRIC = {
+    (2, 4): (((0.09157621350977074,) * 2, 0.054975871827660935),
+             ((0.4459484909159649,) * 2, 0.11169079483900574)),
+    (2, 6): (((0.24928674517091043,) * 2, 0.058393137863189684),
+             ((0.06308901449150223,) * 2, 0.02542245318510341),
+             ((0.053145049844816945, 0.3103524510337844),
+              0.041425537809186785)),
+    (3, 6): (((0.21460287125915203,) * 3, 0.006653791709694582),
+             ((0.04067395853461135,) * 3, 0.001679535175886774),
+             ((0.3223378901422755,) * 3, 0.009226196923942455),
+             ((0.06366100187501753,) * 2 + (0.6030056647916492,), 9 / 1120)),
+}
 
 
 @dataclass(frozen=True)
@@ -37,7 +56,21 @@ def simplex_rule(dim: int, order: int) -> QuadratureRule:
         raise ValueError(f"unsupported simplex dimension {dim}")
     if order < 0 or order > MAX_ORDER:
         raise ValueError(f"unsupported quadrature order {order}")
+    if (dim, order) in _SYMMETRIC:
+        pts, wts = [], []
+        for head, w in _SYMMETRIC[dim, order]:
+            orbit = sorted(set(permutations(head + (1 - sum(head),))))
+            pts += [xi[:dim] for xi in orbit]
+            wts += [w] * len(orbit)
+    else:
+        pts, wts = _conical(dim, order)
+    rule = QuadratureRule(np.array(pts), np.array(wts), order)
+    assert abs(rule.weights.sum() - 1.0 / factorial(dim)) < 1e-14
+    return rule
 
+
+def _conical(dim: int, order: int) -> tuple:
+    """Points and weights of the conical product rule of the given order."""
     npts = max(1, (order + 2) // 2)
     lines = []
     for j in range(dim):
@@ -64,6 +97,4 @@ def simplex_rule(dim: int, order: int) -> QuadratureRule:
             w *= ws[i]
         pts.append(xi)
         wts.append(w)
-    rule = QuadratureRule(np.array(pts), np.array(wts), order)
-    assert abs(rule.weights.sum() - 1.0 / factorial(dim)) < 1e-14
-    return rule
+    return pts, wts

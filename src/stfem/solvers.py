@@ -76,7 +76,6 @@ class SolveStats:
     final_residual_norm: float = np.inf
     converged: bool = False
     residual_history: list = field(default_factory=list)
-    inner_converged: bool = True
     adjoint: FeFunction | None = None  # z at the returned u, given a goal
 
 
@@ -253,8 +252,6 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
         res = linear_solve(assemble_jacobian(space, state, prob, order), -r,
                            lcfg, goal.gradient(space, u) if probe else None)
         stats.total_inner_iters += res.iters
-        if not res.converged:
-            stats.inner_converged = False
         if probe:
             zres = res.transposed
             stats.total_inner_iters += zres.iters

@@ -497,6 +497,27 @@ def test_state_gives_the_same_forms_as_the_function(d, degree):
         assert np.array_equal(f(state), f(u))
 
 
+@pytest.mark.parametrize("d,degree", CASES)
+def test_state_evaluates_its_residual_element_vectors_once(d, degree,
+                                                           monkeypatch):
+    # the global residual and the residual form's element values of one
+    # state share one evaluation of the flux integral
+    prob = smooth_problem(d, p=4.0, eps=1e-2)
+    V = case_space(d, degree)
+    u, w = (random_state(V, seed=s) for s in (28, 29))
+    state = quadrature_state(V, u, prob)
+    calls = []
+    integrate = FeSpace.integrate_grad_x
+    monkeypatch.setattr(
+        FeSpace, "integrate_grad_x",
+        lambda self, *a: calls.append(a) or integrate(self, *a))
+    assemble_residual(V, state, prob)
+    residual_form_element_values(V, state, w.coeffs, prob)
+    assert len(calls) == 1
+    assert residual_element_vectors(V, state, prob) is state.residual
+    assert not state.residual.flags.writeable
+
+
 def full_order_p1_forms(V, u, w, z, prob, order):
     """Reference: the forms with the state and every term at the requested
     order, no one-point rule.  Returns residual element vectors, Jacobian,

@@ -41,3 +41,12 @@ def test_untraced_2d_worker_passes_every_level_check(tmp_path):
     lines = run_worker(tmp_path, "dwr_final_time_2d", 0)
     assert lines[-1]["result"]["failures"] == {}
     assert len(lines) - 1 == 9  # one line per level, then the result
+
+
+def test_untraced_uniform_worker_passes_every_level_check(tmp_path):
+    # uniform refinement in d=1 as the benchmark runs it: every Newton
+    # solve converges, the L2 error falls on every level and the last level
+    # meets the tolerance
+    lines = run_worker(tmp_path, "uniform_smooth_1d", 0)
+    assert lines[-1]["result"]["failures"] == {}
+    assert len(lines) - 1 == 7
