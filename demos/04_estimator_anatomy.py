@@ -18,20 +18,18 @@ EXACT = 2.0 * np.e / np.pi
 prob = smooth_problem(d=1, p=4.0, eps=1e-5)
 goal = FinalTimeIntegralGoal()
 lcfg = LinearSolverConfig(kind="direct")
-order = 6  # one quadrature order for all four solves and the estimate
 
 mesh = uniform_refine(build_box_mesh(1, 2), 3)
 V = FeSpace(mesh, 1)
-u, su = newton_solve(prob, V, random_initial_guess(V, seed=0),
-                     lcfg=lcfg, order=order)
-z, _ = solve_adjoint(V, u, goal, prob, lcfg, order)
+u, su = newton_solve(prob, V, random_initial_guess(V, seed=0), lcfg=lcfg)
+z, _ = solve_adjoint(V, u, goal, prob, lcfg)
 V2 = enrich(V)
-u2, s2 = newton_solve(prob, V2, inject(u, V2), lcfg=lcfg, order=order)
-z2, _ = solve_adjoint(V2, u2, goal, prob, lcfg, order)
+u2, s2 = newton_solve(prob, V2, inject(u, V2), lcfg=lcfg)
+z2, _ = solve_adjoint(V2, u2, goal, prob, lcfg)
 print(f"primal solve: {su.newton_iters} Newton steps on {V.n_dofs} dofs; "
       f"enriched: {s2.newton_iters} steps on {V2.n_dofs} dofs")
 
-bd = estimate(prob, goal, u, z, u2, z2, order)
+bd = estimate(prob, goal, u, z, u2, z2)
 J_h = eval_goal(goal, u)
 err = EXACT - J_h
 print(f"\nJ(u) - J(u_h)      = {err:+.6e}   (exact goal error)")

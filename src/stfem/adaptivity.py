@@ -136,15 +136,12 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
 
     for level in range(cfg.max_levels):
         space = FeSpace(mesh, cfg.degree)
-        # one quadrature order for coarse and enriched stages keeps the
-        # iteration-error part of the estimator consistent with the solver
-        order = 2 * (cfg.degree + 1) + 2 if cfg.mode == "dwr" else None
 
         if u_prev is not None:
             init = transfer(u_prev, space)
         else:
             init = random_initial_guess(space, seed=cfg.seed)
-        u, stats = newton_solve(prob, space, init, ncfg, lcfg, order)
+        u, stats = newton_solve(prob, space, init, ncfg, lcfg)
 
         rec = ConvergenceRecord(level=level, dofs=space.n_dofs,
                                 elements=mesh.n_elements,
@@ -163,7 +160,7 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
                 u, prob.exact.value, prob.exact.grad)
 
         if cfg.mode == "dwr":
-            z, zres = solve_adjoint(space, u, goal, prob, lcfg, order)
+            z, zres = solve_adjoint(space, u, goal, prob, lcfg)
             space2 = enrich(space)
             init2 = inject(u, space2) if u2_prev is None \
                 else transfer(u2_prev, space2)
@@ -171,15 +168,15 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
 
             def guard(u2, r2, z2):
                 nonlocal bd
-                bd = estimate(prob, goal, u, z, u2, z2, order)
+                bd = estimate(prob, goal, u, z, u2, z2)
                 return abs(r2 @ z2.coeffs) <= ENRICHED_GUARD * abs(bd.eta_h)
 
-            u2, stats2 = newton_solve(prob, space2, init2, ncfg, lcfg, order,
-                                      goal, guard)
+            u2, stats2 = newton_solve(prob, space2, init2, ncfg, lcfg,
+                                      goal=goal, stop=guard)
             u2_prev = u2 if stats2.converged else None
             if bd is None:  # the line search failed at the start
-                z2, _ = solve_adjoint(space2, u2, goal, prob, lcfg, order)
-                bd = estimate(prob, goal, u, z, u2, z2, order)
+                z2, _ = solve_adjoint(space2, u2, goal, prob, lcfg)
+                bd = estimate(prob, goal, u, z, u2, z2)
             rec.inner_iters += zres.iters + stats2.total_inner_iters
             rec.converged = stats.converged and zres.converged \
                 and stats2.converged

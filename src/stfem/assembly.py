@@ -19,10 +19,11 @@ A state's data at the quadrature points (``QuadratureState``: gradients,
 vectors) is computed once per Newton iterate and shared by every form
 evaluated there, each term at the order it needs (``quadrature_state``): a
 degree-1 state at one point per element, where it is constant, and the load
-int f phi, cached per space, at the requested order.  The Jacobian applies
-the flux derivative in rank-one form, a I + (p-2)(a/s) g g^T, and never
-stores it per point.  Matrices are summed by one ``np.bincount`` into the
-sparsity pattern that ``FeSpace.csr_pattern`` builds once per space.
+int f phi, cached per space, at the one form order of both degrees
+(``FeSpace.default_order``).  The Jacobian applies the flux derivative in
+rank-one form, a I + (p-2)(a/s) g g^T, and never stores it per point.
+Matrices are summed by one ``np.bincount`` into the sparsity pattern that
+``FeSpace.csr_pattern`` builds once per space.
 """
 
 from __future__ import annotations
@@ -67,16 +68,15 @@ def flux_jacobian(g: np.ndarray, p: float, eps: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureState:
-    """A function u at the quadrature points for forms of one space and
-    order: the spatial gradients ``gx`` (ne, nq, d), the time derivative
-    ``ut`` (ne, nq), ``s`` = |gx|^2 + eps^2 and ``a`` = s^((p-2)/2), so that
+    """A function u at the quadrature points for the forms of one space:
+    the spatial gradients ``gx`` (ne, nq, d), the time derivative ``ut``
+    (ne, nq), ``s`` = |gx|^2 + eps^2 and ``a`` = s^((p-2)/2), so that
     flux = a gx and flux' = a I + (p-2) (a/s) gx gx^T.  They are evaluated
     at the rule of order ``qorder`` (see ``quadrature_state``); the load
-    stays at the requested ``order``."""
+    stays at the form order."""
 
     u: FeFunction
     prob: ProblemDefinition
-    order: int
     qorder: int
     gx: np.ndarray
     ut: np.ndarray
@@ -91,82 +91,78 @@ class QuadratureState:
         b = space.batch(self.qorder)
         r = (b["scale"] * self.ut) @ b["values"]
         r += space.integrate_grad_x(self.qorder, self.a[..., None] * self.gx)
-        r -= space.load_vectors(self.prob.source, self.order)
+        r -= space.load_vectors(self.prob.source, space.default_order())
         r.flags.writeable = False
         return r
 
 
-def quadrature_state(space: FeSpace, u, prob: ProblemDefinition,
-                     order: int = None) -> QuadratureState:
+def quadrature_state(space: FeSpace, u,
+                     prob: ProblemDefinition) -> QuadratureState:
     """The state of u at the quadrature points, evaluated once.
 
     Every form of this module takes u as a ``FeFunction`` or as its state;
     a state is returned as it is, after checking that it was evaluated on
-    this space, problem and order.
+    this space and problem.
 
     The one order rule of the assembly: on degree 1, gx, ut, s and a are
     constant per element, so every integrand that meets the state (u_t phi_a
     and phi_a dphi_b/dt, linear; flux . grad_x phi_a and flux' grad_x w .
     grad_x z, constant) has degree at most 1, and the one-point rule of order
     1 integrates it exactly.  On degree 2 the flux power is not a
-    polynomial, and the state keeps the requested order.  The load int f
-    phi_a does not depend on u and is always taken at the requested order,
-    so residuals of both degrees at one order integrate f alike.
+    polynomial, and the state takes the form order
+    ``FeSpace.default_order``.  The load int f phi_a does not depend on u
+    and is always taken at the form order, so residuals of both degrees
+    integrate f alike.
     """
-    if order is None:
-        order = space.default_order()
     if isinstance(u, QuadratureState):
-        if u.u.space is not space or u.order != order or u.prob is not prob:
-            raise ValueError("quadrature state belongs to another space, "
-                             "order or problem")
+        if u.u.space is not space or u.prob is not prob:
+            raise ValueError("quadrature state belongs to another space "
+                             "or problem")
         return u
     if u.space is not space:
         raise ValueError("function does not live on the given space")
     if space.mesh.spatial_dim != prob.d:
         raise ValueError("problem and space dimensions do not match")
-    qorder = 1 if space.degree == 1 else order
+    qorder = 1 if space.degree == 1 else space.default_order()
     _vals, grads = u.at_quadrature(qorder)
     gx = grads[..., :-1]
     s = np.einsum("eqi,eqi->eq", gx, gx) + prob.eps * prob.eps
-    return QuadratureState(u, prob, order, qorder, gx, grads[..., -1], s,
+    return QuadratureState(u, prob, qorder, gx, grads[..., -1], s,
                            s ** ((prob.p - 2.0) / 2.0))
 
 
-def residual_element_vectors(space: FeSpace, u, prob: ProblemDefinition,
-                             order: int = None) -> np.ndarray:
+def residual_element_vectors(space: FeSpace, u,
+                             prob: ProblemDefinition) -> np.ndarray:
     """Per-element residual contributions, shape (n_elements, n_local).
 
     No boundary conditions are applied; summing entry [e, a] into dof
     elem_dofs[e, a] gives the raw residual vector.
     """
-    return quadrature_state(space, u, prob, order).residual
+    return quadrature_state(space, u, prob).residual
 
 
-def assemble_residual(space: FeSpace, u, prob: ProblemDefinition,
-                      order: int = None) -> np.ndarray:
+def assemble_residual(space: FeSpace, u,
+                      prob: ProblemDefinition) -> np.ndarray:
     """Global residual with constrained entries set to zero."""
-    r_loc = residual_element_vectors(space, u, prob, order)
+    r_loc = residual_element_vectors(space, u, prob)
     r = np.bincount(space.elem_dofs.ravel(), r_loc.ravel(), space.n_dofs)
     r[space.constrained] = 0.0
     return r
 
 
-def _scatter_matrix(space: FeSpace, k_loc: np.ndarray,
-                    dirichlet: bool) -> sp.csr_matrix:
+def _scatter_matrix(space: FeSpace, k_loc: np.ndarray) -> sp.csr_matrix:
     """Sum element matrices into a CSR matrix on the space's cached pattern.
-    With ``dirichlet``, constrained rows and columns become identity after
-    the one summation of duplicates, so kept entries sum in the same order as
-    without it; entries that are then zero are dropped."""
+    Constrained rows and columns become identity after the one summation of
+    duplicates, so the kept entries are the plain sums; entries that are
+    then zero are dropped."""
     pat = space.csr_pattern()
     data = np.bincount(pat["slot"], weights=k_loc.ravel(),
                        minlength=len(pat["indices"]))
-    if dirichlet:
-        data[pat["fixed"]] = 0.0
-        data[pat["ident"]] = 1.0
+    data[pat["fixed"]] = 0.0
+    data[pat["ident"]] = 1.0
     K = sp.csr_matrix((data, pat["indices"].copy(), pat["indptr"].copy()),
                       shape=(space.n_dofs, space.n_dofs))
-    if dirichlet:
-        K.eliminate_zeros()
+    K.eliminate_zeros()
     return K
 
 
@@ -178,10 +174,10 @@ def _time_matrices(space: FeSpace, b: dict) -> np.ndarray:
         -1, nloc, nloc)
 
 
-def assemble_jacobian(space: FeSpace, u, prob: ProblemDefinition,
-                      order: int = None, dirichlet: bool = True) -> sp.csr_matrix:
+def assemble_jacobian(space: FeSpace, u,
+                      prob: ProblemDefinition) -> sp.csr_matrix:
     """Newton Jacobian: time matrix plus linearized diffusion at u."""
-    st = quadrature_state(space, u, prob, order)
+    st = quadrature_state(space, u, prob)
     b = space.batch(st.qorder)
     _jac, inv_jac_t, _det = space.geometry()
     js = inv_jac_t[:, :st.gx.shape[-1], :]  # (ne, d, D)
@@ -196,22 +192,18 @@ def assemble_jacobian(space: FeSpace, u, prob: ProblemDefinition,
     B += c[:, None, :] * (jst @ js)[:, upper, lower, None]
     k_loc = B.reshape(len(B), -1) @ b["stiffness_table"]
     k_loc += _time_matrices(space, b).reshape(k_loc.shape)
-    return _scatter_matrix(space, k_loc, dirichlet)
+    return _scatter_matrix(space, k_loc)
 
 
-def assemble_time_matrix(space: FeSpace, order: int = None,
-                         dirichlet: bool = True) -> sp.csr_matrix:
+def assemble_time_matrix(space: FeSpace) -> sp.csr_matrix:
     """Matrix of the time-derivative form int_Q (dw/dt) v."""
-    if order is None:
-        order = space.default_order()
-    return _scatter_matrix(space, _time_matrices(space, space.batch(order)),
-                           dirichlet)
+    return _scatter_matrix(space, _time_matrices(
+        space, space.batch(space.default_order())))
 
 
 def jacobian_form_element_values(space: FeSpace, u,
                                  direction: np.ndarray, test: np.ndarray,
-                                 prob: ProblemDefinition,
-                                 order: int = None) -> np.ndarray:
+                                 prob: ProblemDefinition) -> np.ndarray:
     """Per-element values of the linearized form at u in a given direction.
 
     Computes int_e [ (dw/dt) z + (flux'(grad_x u) grad_x w) . grad_x z ] for
@@ -220,7 +212,7 @@ def jacobian_form_element_values(space: FeSpace, u,
     coefficients.  Summing over elements gives the full bilinear form without
     boundary modifications, which is what weighted residual estimates need.
     """
-    st = quadrature_state(space, u, prob, order)
+    st = quadrature_state(space, u, prob)
     b = space.batch(st.qorder)
     _vals, wg = FeFunction(space, direction).at_quadrature(st.qorder)
     wx = wg[..., :-1]
@@ -232,13 +224,13 @@ def jacobian_form_element_values(space: FeSpace, u,
 
 
 def residual_form_element_values(space: FeSpace, u,
-                                 weight: np.ndarray, prob: ProblemDefinition,
-                                 order: int = None) -> np.ndarray:
+                                 weight: np.ndarray,
+                                 prob: ProblemDefinition) -> np.ndarray:
     """Per-element values of the residual form at u tested with a weight.
 
     Computes int_e [ (du/dt) w + flux(grad_x u) . grad_x w - f w ] where w is
     the function with coefficient vector ``weight``: the residual element
     vectors contracted with w's element coefficients.
     """
-    r = residual_element_vectors(space, u, prob, order)
+    r = residual_element_vectors(space, u, prob)
     return np.einsum("ea,ea->e", r, weight[space.elem_dofs])

@@ -42,7 +42,7 @@ class RunConfig:
     max_levels: int = 40
     initial_cells: int = 2
     solver: str = "direct"
-    precond: str = "jacobi"
+    precond: str = "ilu0"
     goal: str = None  # custom preset only
     out_csv: str = None
     out_vtk_dir: str = None
@@ -73,10 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cells per axis of the initial grid")
     p.add_argument("--solver", choices=["gmres", "direct"], default="direct")
     p.add_argument("--precond", choices=["jacobi", "ilu0"],
-                   default="jacobi",
-                   help="GMRES preconditioner; ilu0 is SuperLU's threshold "
-                        "incomplete LU with drop tolerance 1e-4 (the name "
-                        "is kept for existing scripts)")
+                   default="ilu0",
+                   help="GMRES preconditioner; ilu0 (the default) is "
+                        "SuperLU's threshold incomplete LU with drop "
+                        "tolerance 1e-4 (the name is kept for existing "
+                        "scripts)")
     p.add_argument("--goal", choices=["final_time", "region_energy", "none"],
                    default=None, help="goal functional (custom preset)")
     p.add_argument("--out-csv", default=None)

@@ -58,20 +58,19 @@ def enrich(space: FeSpace) -> FeSpace:
 
 
 def estimate(prob: ProblemDefinition, goal, u: FeFunction, z: FeFunction,
-             u2: FeFunction, z2: FeFunction, order: int = None) -> EstimatorBreakdown:
+             u2: FeFunction, z2: FeFunction) -> EstimatorBreakdown:
     """Estimator parts from coarse solutions (u, z) and enriched (u2, z2).
 
     The coarse functions are injected into the enriched space; all forms are
-    evaluated there with one quadrature order, so the iteration part eta_k
-    coincides with the converged coarse residual up to solver tolerance.
+    evaluated there at the form order that the coarse solve also used
+    (``FeSpace.default_order``), so the iteration part eta_k coincides with
+    the converged coarse residual up to solver tolerance.
     """
     space2 = u2.space
     if z2.space is not space2:
         raise ValueError("enriched primal and adjoint spaces differ")
     if u.space.mesh is not space2.mesh:
         raise ValueError("coarse and enriched spaces live on different meshes")
-    if order is None:
-        order = space2.default_order()
 
     ut = inject(u, space2)
     zt = inject(z, space2)
@@ -80,22 +79,22 @@ def estimate(prob: ProblemDefinition, goal, u: FeFunction, z: FeFunction,
 
     # one quadrature state at inject(u) serves every form below; its
     # residual element vectors, evaluated once, give both r2 and loc_p
-    st = quadrature_state(space2, ut, prob, order)
+    st = quadrature_state(space2, ut, prob)
 
     # global parts via assembled operators
-    r2 = assemble_residual(space2, st, prob, order)
+    r2 = assemble_residual(space2, st, prob)
     eta_h_p = -float(r2 @ wz)
     eta_k = -float(r2 @ zt.coeffs)
-    K2 = assemble_jacobian(space2, st, prob, order)
+    K2 = assemble_jacobian(space2, st, prob)
     # J'(u)(w) per element; its sum is the global J'(u)(w)
     loc_j = goal.derivative_element_values(space2, ut, wu)
     eta_h_a = float(loc_j.sum()) - float(zt.coeffs @ (K2 @ wu))
     eta_h = 0.5 * (eta_h_p + eta_h_a)
 
     # element-restricted split of the same forms: (loc_p + loc_a) / 2
-    loc_p = -residual_form_element_values(space2, st, wz, prob, order)
+    loc_p = -residual_form_element_values(space2, st, wz, prob)
     loc_a = loc_j \
-        - jacobian_form_element_values(space2, st, wu, zt.coeffs, prob, order)
+        - jacobian_form_element_values(space2, st, wu, zt.coeffs, prob)
     local = 0.5 * (loc_p + loc_a)
 
     return EstimatorBreakdown(eta_h_p=eta_h_p, eta_h_a=eta_h_a, eta_h=eta_h,

@@ -4,11 +4,12 @@ The nonlinear systems are solved by a damped Newton method whose damping
 parameter is chosen by a residual-based line search (halving, first decrease
 accepted).  Jacobian and adjoint systems are solved either by a sparse direct
 factorization or by full (restart-free) GMRES with a relative tolerance of
-1e-8, capped at 100 iterations.  GMRES is right-preconditioned by Jacobi or
-by the ``"ilu0"`` choice, which is SuperLU's threshold incomplete LU
-(``scipy.sparse.linalg.spilu``) with drop tolerance 1e-4; the name is kept
-for the benchmark and existing scripts.  A preconditioner that cannot be
-built is reported as an unconverged solve, like a singular direct solve.
+1e-8, capped at 100 iterations.  GMRES is right-preconditioned by the
+default ``"ilu0"`` choice, which is SuperLU's threshold incomplete LU
+(``scipy.sparse.linalg.spilu``) with drop tolerance 1e-4 (the name is kept
+for the benchmark and existing scripts), or by Jacobi.  A preconditioner
+that cannot be built is reported as an unconverged solve, like a singular
+direct solve.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ class LinearSolverConfig:
     kind: str = "direct"  # "direct" or "gmres"
     gmres_rel_tol: float = 1e-8
     gmres_max_iter: int = 100
-    # "jacobi" or "ilu0": SuperLU's threshold incomplete LU with
-    # drop tolerance 1e-4 (ILU_DROP_TOL), named "ilu0" for existing scripts
-    preconditioner: str = "jacobi"
+    # "ilu0": SuperLU's threshold incomplete LU with drop tolerance 1e-4
+    # (ILU_DROP_TOL), named "ilu0" for existing scripts; or "jacobi"
+    preconditioner: str = "ilu0"
 
     def __post_init__(self):
         if self.kind not in ("direct", "gmres"):
@@ -217,8 +218,7 @@ def random_initial_guess(space: FeSpace, seed: int = 0,
 
 def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
                  ncfg: NewtonConfig = None, lcfg: LinearSolverConfig = None,
-                 order: int = None, goal=None,
-                 stop=None) -> tuple[FeFunction, SolveStats]:
+                 goal=None, stop=None) -> tuple[FeFunction, SolveStats]:
     """Damped Newton iteration for the nonlinear space-time system.
 
     The step length is halved until the residual norm decreases; close to the
@@ -236,8 +236,8 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
     u = init.copy()
     u.coeffs[space.constrained] = 0.0
     # the accepted trial's quadrature state serves the next Jacobian
-    state = quadrature_state(space, u, prob, order)
-    r = assemble_residual(space, state, prob, order)
+    state = quadrature_state(space, u, prob)
+    r = assemble_residual(space, state, prob)
     rnorm = np.linalg.norm(r)
     tol = max(ncfg.abs_tol, ncfg.rel_tol * rnorm)
     stats = SolveStats(residual_history=[rnorm])
@@ -249,7 +249,7 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
         if last and goal is None:
             break
         probe = goal is not None and (stats.newton_iters > 0 or last)
-        res = linear_solve(assemble_jacobian(space, state, prob, order), -r,
+        res = linear_solve(assemble_jacobian(space, state, prob), -r,
                            lcfg, goal.gradient(space, u) if probe else None)
         stats.total_inner_iters += res.iters
         if probe:
@@ -264,8 +264,8 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
         accepted = False
         for _ in range(ncfg.max_line_search_steps):
             trial = quadrature_state(
-                space, FeFunction(space, u.coeffs + lam * w), prob, order)
-            r_trial = assemble_residual(space, trial, prob, order)
+                space, FeFunction(space, u.coeffs + lam * w), prob)
+            r_trial = assemble_residual(space, trial, prob)
             rt = np.linalg.norm(r_trial)
             if rt < rnorm:
                 accepted = True
@@ -283,12 +283,12 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
 
 
 def solve_adjoint(space: FeSpace, u: FeFunction, goal,
-                  prob: ProblemDefinition, lcfg: LinearSolverConfig = None,
-                  order: int = None) -> tuple[FeFunction, LinearSolveResult]:
+                  prob: ProblemDefinition, lcfg: LinearSolverConfig = None
+                  ) -> tuple[FeFunction, LinearSolveResult]:
     """Discrete adjoint solve: the transposed Jacobian at u against the goal
     gradient.  Linear, backward in time."""
     lcfg = lcfg or LinearSolverConfig()
     g = goal.gradient(space, u)
-    K = assemble_jacobian(space, u, prob, order)
+    K = assemble_jacobian(space, u, prob)
     res = linear_solve(K.T, g, lcfg)
     return FeFunction(space, res.x), res

@@ -333,12 +333,12 @@ def test_c08_estimator_identities(final_time_runs):
     for _ in range(4):
         V = FeSpace(mesh, 1)
         u, _s = newton_solve(prob, V, random_initial_guess(V, seed=0),
-                             lcfg=DIRECT, order=6)
-        z, _ = solve_adjoint(V, u, goal, prob, DIRECT, 6)
+                             lcfg=DIRECT)
+        z, _ = solve_adjoint(V, u, goal, prob, DIRECT)
         V2 = enrich(V)
-        u2, _s2 = newton_solve(prob, V2, inject(u, V2), lcfg=DIRECT, order=6)
-        z2, _ = solve_adjoint(V2, u2, goal, prob, DIRECT, 6)
-        bd = estimate(prob, goal, u, z, u2, z2, 6)
+        u2, _s2 = newton_solve(prob, V2, inject(u, V2), lcfg=DIRECT)
+        z2, _ = solve_adjoint(V2, u2, goal, prob, DIRECT)
+        bd = estimate(prob, goal, u, z, u2, z2)
         d = eval_goal(goal, u2) - eval_goal(goal, u)
         dJ.append(abs(d))
         R.append(abs(d - (bd.eta_h - bd.eta_k)))

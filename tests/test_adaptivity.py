@@ -177,8 +177,8 @@ def test_capped_adjoint_gmres_fails_the_run(monkeypatch):
     solve_adjoint = adaptivity.solve_adjoint
     adjoint_ok = []
 
-    def capped_adjoint(space, u, goal, prob, lcfg=None, order=None):
-        z, res = solve_adjoint(space, u, goal, prob, capped, order)
+    def capped_adjoint(space, u, goal, prob, lcfg=None):
+        z, res = solve_adjoint(space, u, goal, prob, capped)
         adjoint_ok.append(res.converged)
         return z, res
 
@@ -291,18 +291,17 @@ def test_enriched_stage_meets_its_guard_near_the_converged_estimate(
         callback=lambda lev, mesh, V, u, rec: levels.append((V, u, rec)))
     assert result.converged
     assert len(enriched) == len(levels) >= 8
-    order = 6  # the loop's quadrature order for dwr at degree 1
     for (V, u, rec), (u2, stats) in zip(levels, enriched):
         V2 = u2.space
-        r2 = assemble_residual(V2, u2, prob, order)
+        r2 = assemble_residual(V2, u2, prob)
         assert abs(r2 @ stats.adjoint.coeffs) \
             <= ENRICHED_GUARD * abs(rec.eta_h)
-        z, _ = solve_adjoint(V, u, goal, prob, DIRECT, order)
+        z, _ = solve_adjoint(V, u, goal, prob, DIRECT)
         u2c, stc = newton_solve(prob, V2, inject(u, V2), NewtonConfig(),
-                                DIRECT, order)
-        z2c, zc = solve_adjoint(V2, u2c, goal, prob, DIRECT, order)
+                                DIRECT)
+        z2c, zc = solve_adjoint(V2, u2c, goal, prob, DIRECT)
         assert stc.converged and zc.converged
-        full = estimate(prob, goal, u, z, u2c, z2c, order).eta_h
+        full = estimate(prob, goal, u, z, u2c, z2c).eta_h
         # measured 1.7e-1 and 5.7e-2 on levels 0-1, <= 8.6e-3 from level 2
         bound = {0: 0.2, 1: 0.1}.get(rec.level, 1e-2)
         assert abs(rec.eta_h - full) <= bound * abs(full)

@@ -91,14 +91,14 @@ def test_reference_element_time_matrix():
 
 
 def test_residual_against_independent_quadrature_oracle():
-    # recompute every element integral with a separate order-8 rule and
-    # plain loops, then compare with the vectorized assembly
+    # recompute every element integral at the form order 6 with plain loops
+    # over the points, then compare with the vectorized assembly
     prob = smooth_problem(1, p=4.0, eps=0.5)
     V = FeSpace(build_box_mesh(1, 2), 1)
     u = random_state(V, seed=9)
-    got = residual_element_vectors(V, u, prob, order=8)
+    got = residual_element_vectors(V, u, prob)
 
-    rule = simplex_rule(2, 8)
+    rule = simplex_rule(2, 6)
     vals, ref_grads = tabulate_shape(2, 1, rule.points)
     mesh = V.mesh
     for e in range(mesh.n_elements):
@@ -265,7 +265,7 @@ def test_residual_matches_physical_gradient_einsum(d, degree):
                     grads[..., -1] - f)
     ref += np.einsum("eq,eqi,eqai->ea", b["scale"],
                      flux(grads[..., :-1], prob.p, prob.eps), gphi[..., :-1])
-    assert rel_err(residual_element_vectors(V, u, prob, order), ref) <= 1e-12
+    assert rel_err(residual_element_vectors(V, u, prob), ref) <= 1e-12
 
 
 @pytest.mark.parametrize("d,degree", CASES)
@@ -287,8 +287,8 @@ def test_form_values_match_physical_gradient_einsum(d, degree):
     ref_r = np.einsum("eq,eq->e", s, (ug[..., -1] - f) * wv)
     q = flux(ug[..., :-1], prob.p, prob.eps)
     ref_r += np.einsum("eq,eqi,eqi->e", s, q, wg[..., :-1])
-    got_j = jacobian_form_element_values(V, u, w.coeffs, z.coeffs, prob, order)
-    got_r = residual_form_element_values(V, u, w.coeffs, prob, order)
+    got_j = jacobian_form_element_values(V, u, w.coeffs, z.coeffs, prob)
+    got_r = residual_form_element_values(V, u, w.coeffs, prob)
     assert rel_err(got_j, ref_j) <= 1e-12
     assert rel_err(got_r, ref_r) <= 1e-12
 
@@ -298,24 +298,34 @@ def test_time_matrix_matches_physical_gradient_einsum(d, degree):
     V = case_space(d, degree)
     order = V.default_order()
     b = V.batch(order)
-    ref = einsum_scatter(V, np.einsum("eq,qa,eqb->eab", b["scale"],
+    raw = einsum_scatter(V, np.einsum("eq,qa,eqb->eab", b["scale"],
                                       b["values"],
                                       physical_gradients(V, order)[..., -1]))
-    got = assemble_time_matrix(V, order, dirichlet=False)
-    assert abs(got - ref).max() <= 1e-12 * abs(ref).max()
+    got = assemble_time_matrix(V)
+    assert abs(got - identity_rows(V, raw)).max() <= 1e-12 * abs(raw).max()
 
 
 @pytest.mark.parametrize("d,degree", CASES)
-def test_dirichlet_scatter_matches_masked_product(d, degree):
-    # the former boundary treatment: Dm K Dm + Ic on the raw matrix
+def test_dirichlet_scatter_matches_masked_product(d, degree, monkeypatch):
+    # the former boundary treatment: Dm K Dm + Ic on the raw matrix, summed
+    # from the assembly's element matrices on the cached pattern in the
+    # scatter's order, so that kept entries must match exactly
+    import stfem.assembly as assembly
     prob = smooth_problem(d, p=4.0, eps=1e-2)
     V = case_space(d, degree)
     u = random_state(V, seed=16)
     m = V.free.astype(float)
-    for raw, got in ((assemble_jacobian(V, u, prob, dirichlet=False),
-                      assemble_jacobian(V, u, prob)),
-                     (assemble_time_matrix(V, dirichlet=False),
-                      assemble_time_matrix(V))):
+    k_locs = []
+    scatter = assembly._scatter_matrix
+    monkeypatch.setattr(assembly, "_scatter_matrix",
+                        lambda V_, k_loc: k_locs.append(k_loc)
+                        or scatter(V_, k_loc))
+    for got in (assemble_jacobian(V, u, prob), assemble_time_matrix(V)):
+        pat = V.csr_pattern()
+        raw = sp.csr_matrix(
+            (np.bincount(pat["slot"], weights=k_locs.pop(0).ravel(),
+                         minlength=len(pat["indices"])),
+             pat["indices"], pat["indptr"]), shape=got.shape)
         ref = (sp.diags(m) @ raw @ sp.diags(m) + sp.diags(1.0 - m)).tocsr()
         ref.sort_indices()
         got.sort_indices()
@@ -329,10 +339,9 @@ def test_jacobian_matches_four_operand_einsum(d, degree):
     prob = smooth_problem(d, p=4.0, eps=1e-2)
     V = FeSpace(uniform_refine(build_box_mesh(d, 2), 1), degree)
     u = random_state(V, seed=11)
-    order = V.default_order()
-    K = assemble_jacobian(V, u, prob, order, dirichlet=False)
-    ref = einsum_jacobian(V, u, prob, order)
-    assert abs(K - ref).max() <= 1e-12 * abs(ref).max()
+    raw = einsum_jacobian(V, u, prob, V.default_order())
+    K = assemble_jacobian(V, u, prob)
+    assert abs(K - identity_rows(V, raw)).max() <= 1e-12 * abs(raw).max()
 
 
 def counting_source(prob):
@@ -355,32 +364,34 @@ def test_source_evaluated_once_per_mesh_and_order(degree):
     V = FeSpace(uniform_refine(build_box_mesh(1, 2), 1), degree)
     u = random_state(V, seed=4)
     w = random_state(V, seed=5).coeffs
-    for order in (V.default_order(), 8):
-        assemble_jacobian(V, u, prob, order)
-        jacobian_form_element_values(V, u, w, w, prob, order)
+    assemble_jacobian(V, u, prob)
+    jacobian_form_element_values(V, u, w, w, prob)
     assert calls == []  # the linearization never reads f
 
-    for order in (V.default_order(), 8):
-        for _ in range(3):
-            assemble_residual(V, u, prob, order)
-            residual_form_element_values(V, u, w, prob, order)
-            assemble_jacobian(V, u, prob, order)
+    # the forms read the load at the form order, the tabulation layer at any
+    for _ in range(3):
+        assemble_residual(V, u, prob)
+        residual_form_element_values(V, u, w, prob)
+        assemble_jacobian(V, u, prob)
+        V.load_vectors(prob.source, 8)
+        V.source_values(prob.source, 8)
     nq = [len(simplex_rule(2, o).weights) for o in (V.default_order(), 8)]
     assert calls == [V.mesh.n_elements * n for n in nq]
 
     # a second space of either degree on the same mesh evaluates nothing
     for k in (1, 2):
         V2 = FeSpace(V.mesh, k)
-        for order in (V.default_order(), 8):
-            assemble_residual(V2, zero_function(V2), prob, order)
+        assemble_residual(V2, zero_function(V2), prob)
+        V2.load_vectors(prob.source, 8)
     assert len(calls) == 2
 
     # a new order evaluates once, a space on a refined mesh again
     for _ in range(2):
-        assemble_residual(V2, zero_function(V2), prob, 5)
+        V2.source_values(prob.source, 5)
+        V2.load_vectors(prob.source, 5)
     assert calls[2:] == [V.mesh.n_elements * len(simplex_rule(2, 5).weights)]
     V3 = FeSpace(uniform_refine(V.mesh, 1), degree)
-    assemble_residual(V3, zero_function(V3), prob, 8)
+    V3.load_vectors(prob.source, 8)
     assert calls[3:] == [V3.mesh.n_elements * nq[1]]
 
 
@@ -397,16 +408,21 @@ def test_cached_source_follows_the_problem():
     assert np.abs(got[0] - got[1]).max() > 1e-3 * np.abs(got[0]).max()
 
 
-def coo_scatter(V, k_loc, dirichlet):
-    """Reference scatter: COO to CSR, then identity rows and columns on the
-    constrained dofs and explicit zeros dropped."""
-    K = einsum_scatter(V, k_loc)
-    if dirichlet:
-        rows = np.repeat(np.arange(V.n_dofs), np.diff(K.indptr))
-        keep = V.free[rows] & V.free[K.indices]
-        K.data = np.where(keep, K.data, rows == K.indices)
-        K.eliminate_zeros()
+def identity_rows(V, K):
+    """Reference boundary treatment of a raw CSR matrix, in place: identity
+    rows and columns on the constrained dofs, explicit zeros dropped."""
+    rows = np.repeat(np.arange(V.n_dofs), np.diff(K.indptr))
+    keep = V.free[rows] & V.free[K.indices]
+    K.data = np.where(keep, K.data, rows == K.indices)
+    K.eliminate_zeros()
     return K
+
+
+def coo_scatter(V, k_loc, dirichlet):
+    """Reference scatter: COO to CSR, then with ``dirichlet`` identity rows
+    and columns on the constrained dofs."""
+    K = einsum_scatter(V, k_loc)
+    return identity_rows(V, K) if dirichlet else K
 
 
 def marked_space(d, degree):
@@ -417,16 +433,21 @@ def marked_space(d, degree):
 @pytest.mark.parametrize("dirichlet", [True, False])
 @pytest.mark.parametrize("d,degree", CASES)
 def test_cached_scatter_matches_coo_reference(d, degree, dirichlet):
+    # against the reference with its identity rows, or on the free rows and
+    # columns against the raw sum
     V = marked_space(d, degree)
     rng = np.random.default_rng(21)
     nloc = V.n_local
+    free = sp.diags(V.free.astype(float))
     for _ in range(3):
         k_loc = rng.normal(size=(V.mesh.n_elements, nloc, nloc))
-        got = _scatter_matrix(V, k_loc, dirichlet)
-        ref = coo_scatter(V, k_loc, dirichlet)
+        got = _scatter_matrix(V, k_loc)
         got_sorted = got.copy()
         got_sorted.sort_indices()
         assert np.array_equal(got.indices, got_sorted.indices)
+        ref = coo_scatter(V, k_loc, dirichlet)
+        if not dirichlet:
+            got, ref = (free @ K @ free for K in (got, ref))
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
         assert np.abs(got.data - ref.data).max() \
@@ -438,27 +459,27 @@ def test_csr_pattern_is_built_once_and_never_aliased(d, degree):
     prob = smooth_problem(d, p=4.0, eps=1e-2)
     V = marked_space(d, degree)
     u = random_state(V, seed=18)
-    first = {dirichlet: assemble_jacobian(V, u, prob, dirichlet=dirichlet)
-             for dirichlet in (True, False)}
+    assemblies = (lambda: assemble_jacobian(V, u, prob),
+                  lambda: assemble_time_matrix(V))
+    first = [assemble() for assemble in assemblies]
     pattern = V.csr_pattern()
     saved = {key: arr.copy() for key, arr in pattern.items()}
-    for dirichlet, K in first.items():
+    for assemble, K in zip(assemblies, first):
         ref = K.copy()
         K.data[:] = 0.0
         K.sort_indices()
         K.eliminate_zeros()
-        again = assemble_jacobian(V, u, prob, dirichlet=dirichlet)
+        again = assemble()
         assert np.array_equal(again.indptr, ref.indptr)
         assert np.array_equal(again.indices, ref.indices)
         assert np.array_equal(again.data, ref.data)
-    assemble_time_matrix(V)
     assert V.csr_pattern() is pattern
     for key, arr in pattern.items():
         assert np.array_equal(arr, saved[key])
         assert not arr.flags.writeable
 
 
-def test_state_of_another_space_order_or_problem_is_rejected():
+def test_state_of_another_space_or_problem_is_rejected():
     prob = smooth_problem(1, p=4.0, eps=1e-2)
     V = case_space(1, 1)
     u = random_state(V, seed=19)
@@ -466,18 +487,14 @@ def test_state_of_another_space_order_or_problem_is_rejected():
     state = quadrature_state(V, u, prob)
     calls = [
         assemble_residual, assemble_jacobian,
-        lambda V_, st, pr, o: residual_form_element_values(V_, st, w, pr, o),
-        lambda V_, st, pr, o: jacobian_form_element_values(V_, st, w, w, pr,
-                                                           o),
+        lambda V_, st, pr: residual_form_element_values(V_, st, w, pr),
+        lambda V_, st, pr: jacobian_form_element_values(V_, st, w, w, pr),
     ]
     other_space = FeSpace(V.mesh, 1)
     other_prob = smooth_problem(1, p=4.0, eps=1e-2)
     for call in calls:
-        call(V, state, prob, None)
-        call(V, state, prob, V.default_order())
-        for args in ((other_space, state, prob, None),
-                     (V, state, prob, V.default_order() + 2),
-                     (V, state, other_prob, None)):
+        call(V, state, prob)
+        for args in ((other_space, state, prob), (V, state, other_prob)):
             with pytest.raises(ValueError):
                 call(*args)
 
@@ -487,13 +504,11 @@ def test_state_gives_the_same_forms_as_the_function(d, degree):
     prob = smooth_problem(d, p=4.0, eps=1e-2)
     V = case_space(d, degree)
     u, w, z = (random_state(V, seed=s) for s in (22, 23, 24))
-    order = V.default_order()
-    state = quadrature_state(V, u, prob, order)
-    for f in (lambda x: assemble_residual(V, x, prob, order),
-              lambda x: residual_form_element_values(V, x, w.coeffs, prob,
-                                                     order),
+    state = quadrature_state(V, u, prob)
+    for f in (lambda x: assemble_residual(V, x, prob),
+              lambda x: residual_form_element_values(V, x, w.coeffs, prob),
               lambda x: jacobian_form_element_values(V, x, w.coeffs,
-                                                     z.coeffs, prob, order)):
+                                                     z.coeffs, prob)):
         assert np.array_equal(f(state), f(u))
 
 
@@ -519,7 +534,7 @@ def test_state_evaluates_its_residual_element_vectors_once(d, degree,
 
 
 def full_order_p1_forms(V, u, w, z, prob, order):
-    """Reference: the forms with the state and every term at the requested
+    """Reference: the forms with the state and every term at the given
     order, no one-point rule.  Returns residual element vectors, Jacobian,
     Jacobian and residual form element values."""
     b = V.batch(order)
@@ -547,28 +562,26 @@ def full_order_p1_forms(V, u, w, z, prob, order):
     cw = (prob.p - 2.0) * a / s * np.einsum("eqi,eqi->eq", gx, wx)
     v = (b["scale"] * wg[..., -1]) @ b["values"]
     v += V.integrate_grad_x(order, a[..., None] * wx + cw[..., None] * gx)
-    return (r, _scatter_matrix(V, k_loc, True),
+    return (r, _scatter_matrix(V, k_loc),
             np.einsum("ea,ea->e", v, z.coeffs[V.elem_dofs]),
             np.einsum("ea,ea->e", r, w.coeffs[V.elem_dofs]))
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_one_point_p1_state_is_exact_at_every_order(d):
+def test_one_point_p1_state_is_exact_at_the_form_order(d):
     prob = smooth_problem(d, p=4.0, eps=1e-2)
     V = marked_space(d, 1)
     u, w, z = (random_state(V, seed=s) for s in (25, 26, 27))
-    for order in (V.default_order(), 6, 8):
-        r, K, jf, rf = full_order_p1_forms(V, u, w, z, prob, order)
-        st = quadrature_state(V, u, prob, order)
-        assert st.order == order and st.gx.shape[1] == 1
-        assert rel_err(residual_element_vectors(V, st, prob, order), r) \
-            <= 1e-13
-        assert abs(assemble_jacobian(V, st, prob, order) - K).max() \
-            <= 1e-13 * abs(K).max()
-        assert rel_err(jacobian_form_element_values(
-            V, st, w.coeffs, z.coeffs, prob, order), jf) <= 1e-13
-        assert rel_err(residual_form_element_values(
-            V, st, w.coeffs, prob, order), rf) <= 1e-13
+    r, K, jf, rf = full_order_p1_forms(V, u, w, z, prob, V.default_order())
+    st = quadrature_state(V, u, prob)
+    assert st.qorder == 1 and st.gx.shape[1] == 1
+    assert rel_err(residual_element_vectors(V, st, prob), r) <= 1e-13
+    assert abs(assemble_jacobian(V, st, prob) - K).max() \
+        <= 1e-13 * abs(K).max()
+    assert rel_err(jacobian_form_element_values(
+        V, st, w.coeffs, z.coeffs, prob), jf) <= 1e-13
+    assert rel_err(residual_form_element_values(
+        V, st, w.coeffs, prob), rf) <= 1e-13
 
 
 @pytest.mark.parametrize("d", [1, 2])

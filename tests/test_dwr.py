@@ -19,14 +19,14 @@ DIRECT = LinearSolverConfig(kind="direct")
 EXACT_GOAL_D1 = 2.0 * np.e / np.pi
 
 
-def solve_level(prob, goal, mesh, order=6):
+def solve_level(prob, goal, mesh):
     V = FeSpace(mesh, 1)
     u, su = newton_solve(prob, V, random_initial_guess(V, seed=0),
-                         lcfg=DIRECT, order=order)
-    z, _ = solve_adjoint(V, u, goal, prob, DIRECT, order)
+                         lcfg=DIRECT)
+    z, _ = solve_adjoint(V, u, goal, prob, DIRECT)
     V2 = enrich(V)
-    u2, s2 = newton_solve(prob, V2, inject(u, V2), lcfg=DIRECT, order=order)
-    z2, _ = solve_adjoint(V2, u2, goal, prob, DIRECT, order)
+    u2, s2 = newton_solve(prob, V2, inject(u, V2), lcfg=DIRECT)
+    z2, _ = solve_adjoint(V2, u2, goal, prob, DIRECT)
     return V, u, z, V2, u2, z2
 
 
@@ -68,22 +68,22 @@ def test_partition_of_unity_telescoping():
     assert bd.local.sum() == pytest.approx(bd.eta_h, rel=1e-10, abs=1e-14)
 
 
-def composed_estimate(prob, goal, u, z, u2, z2, order):
+def composed_estimate(prob, goal, u, z, u2, z2):
     """The estimator parts with every form evaluated from the function."""
     V2 = u2.space
     ut, zt = inject(u, V2), inject(z, V2)
     wz, wu = z2.coeffs - zt.coeffs, u2.coeffs - ut.coeffs
-    r2 = assemble_residual(V2, ut, prob, order)
-    K2 = assemble_jacobian(V2, ut, prob, order)
+    r2 = assemble_residual(V2, ut, prob)
+    K2 = assemble_jacobian(V2, ut, prob)
     eta_h_p = -float(r2 @ wz)
     eta_h_a = goal.derivative(V2, ut, FeFunction(V2, wu)) \
         - float(zt.coeffs @ (K2 @ wu))
     # associated as in estimate(): (loc_p + loc_a) / 2 with
     # loc_a = J'(u)(w) - A'(u)(w, z) summed first
-    local = 0.5 * (-residual_form_element_values(V2, ut, wz, prob, order)
+    local = 0.5 * (-residual_form_element_values(V2, ut, wz, prob)
                    + (goal.derivative_element_values(V2, ut, wu)
                       - jacobian_form_element_values(V2, ut, wu, zt.coeffs,
-                                                     prob, order)))
+                                                     prob)))
     return {"eta_h_p": eta_h_p, "eta_h_a": eta_h_a,
             "eta_h": 0.5 * (eta_h_p + eta_h_a),
             "eta_k": -float(r2 @ zt.coeffs), "local": local}
@@ -95,8 +95,8 @@ def test_estimate_with_shared_state_matches_per_form_composition(d):
     goal = FinalTimeIntegralGoal()
     mesh = uniform_refine(build_box_mesh(d, 2), 1)
     V, u, z, V2, u2, z2 = solve_level(prob, goal, mesh)
-    bd = estimate(prob, goal, u, z, u2, z2, 6)
-    ref = composed_estimate(prob, goal, u, z, u2, z2, 6)
+    bd = estimate(prob, goal, u, z, u2, z2)
+    ref = composed_estimate(prob, goal, u, z, u2, z2)
     for name in ("eta_h_p", "eta_h_a", "eta_h", "eta_k"):
         assert getattr(bd, name) == pytest.approx(ref[name], rel=1e-12,
                                                   abs=0.0)

@@ -183,3 +183,11 @@ def test_main_loop_value_error_is_a_solver_failure(monkeypatch, capsys):
     monkeypatch.setattr(cli, "adaptive_loop", failing_loop)
     assert cli.main(["--preset", "linear_goal", "--max-dofs", "50"]) == 1
     assert "error: indicators must be finite" in capsys.readouterr().err
+
+
+def test_default_gmres_preconditioner_converges_the_linear_goal_loop():
+    # with --precond jacobi this loop's adjoint GMRES stops at its
+    # 100-iteration cap and the run exits 1
+    from stfem.cli import main
+    assert main(["--preset", "linear_goal", "--dim", "1", "--seed", "7",
+                 "--solver", "gmres", "--max-dofs", "60"]) == 0

@@ -50,3 +50,14 @@ def test_untraced_uniform_worker_passes_every_level_check(tmp_path):
     lines = run_worker(tmp_path, "uniform_smooth_1d", 0)
     assert lines[-1]["result"]["failures"] == {}
     assert len(lines) - 1 == 7
+
+
+def test_traced_uniform_worker_reads_the_form_order(tmp_path):
+    # the spans count assembly points at FeSpace.default_order() when a
+    # wrapped call passes no order: 12 points per triangle at order 6
+    result = run_worker(tmp_path, "uniform_smooth_1d", 1)[-1]["result"]
+    assert result["failures"] == {}
+    layers = result["layers"]
+    assert layers["problems.source_points"] == 524256
+    assert layers["assembly.residual_qp_per_s"] > 0
+    assert layers["assembly.jacobian_calls"] > 0

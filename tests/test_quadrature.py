@@ -107,9 +107,9 @@ def _p2_state_forms(d):
     prob = smooth_problem(d, p=4.0, eps=0.5)
     V = FeSpace(build_box_mesh(d, 2), 2)
     coeffs = np.random.default_rng(3).standard_normal(V.n_dofs)
-    st = quadrature_state(V, FeFunction(V, coeffs), prob, 6)
-    flux_part = V.integrate_grad_x(6, st.a[..., None] * st.gx)
-    return assemble_jacobian(V, st, prob, 6).toarray(), flux_part
+    st = quadrature_state(V, FeFunction(V, coeffs), prob)
+    flux_part = V.integrate_grad_x(st.qorder, st.a[..., None] * st.gx)
+    return assemble_jacobian(V, st, prob).toarray(), flux_part
 
 
 @pytest.mark.parametrize("d", [1, 2])

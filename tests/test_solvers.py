@@ -88,12 +88,10 @@ def test_ilu_preconditions_the_enriched_adjoint_of_a_dwr_level():
                   callback=lambda lev, mesh, V, u, rec: levels.append((V, u)))
     V, u = levels[-1]
     assert V.n_dofs >= 149
-    order = 6  # the loop's quadrature order for dwr at degree 1
     V2 = enrich(V)
-    u2, stats = newton_solve(prob, V2, inject(u, V2), lcfg=DIRECT,
-                             order=order)
+    u2, stats = newton_solve(prob, V2, inject(u, V2), lcfg=DIRECT)
     assert stats.converged
-    _, res = solve_adjoint(V2, u2, goal, prob, GMRES_ILU, order)
+    _, res = solve_adjoint(V2, u2, goal, prob, GMRES_ILU)
     assert res.converged is True
     assert res.iters <= 20
 
@@ -152,13 +150,13 @@ def test_newton_jacobian_reuses_the_accepted_trial_state(monkeypatch):
     V = FeSpace(uniform_refine(build_box_mesh(1, 2), 1), 2)
     residuals, jacobians, evaluations = [], [], []
 
-    def residual(space, u, prob_, order):
-        r = assemble_residual(space, u, prob_, order)
+    def residual(space, u, prob_):
+        r = assemble_residual(space, u, prob_)
         residuals.append((u, np.linalg.norm(r)))
         return r
 
-    def jacobian(space, u, prob_, order):
-        K = assemble_jacobian(space, u, prob_, order)
+    def jacobian(space, u, prob_):
+        K = assemble_jacobian(space, u, prob_)
         jacobians.append((u, K))
         return K
 
@@ -210,15 +208,15 @@ def test_newton_iteration_cap_reports_failure():
 
 def enriched_newton(lcfg, stop, ncfg=None):
     """Enriched Newton with a goal on a d=2 mesh, started at the injected
-    primal solution; the loop's quadrature order 6."""
+    primal solution."""
     prob = smooth_problem(2, p=4.0, eps=1e-5)
     goal = FinalTimeIntegralGoal()
     V = FeSpace(build_box_mesh(2, 2), 1)
     u, _ = newton_solve(prob, V, random_initial_guess(V, seed=0),
-                        lcfg=DIRECT, order=6)
+                        lcfg=DIRECT)
     V2 = enrich(V)
-    u2, stats = newton_solve(prob, V2, inject(u, V2), ncfg, lcfg, 6, goal,
-                             stop)
+    u2, stats = newton_solve(prob, V2, inject(u, V2), ncfg, lcfg, goal=goal,
+                             stop=stop)
     return prob, goal, u2, stats
 
 
@@ -239,15 +237,15 @@ def test_iterate_factor_solves_the_enriched_adjoint(lcfg):
     assert seen[-1][0] is u2 and seen[-1][2] is stats.adjoint
     for u2k, r2k, z2k in seen:
         V2 = u2k.space
-        assert np.array_equal(r2k, assemble_residual(V2, u2k, prob, 6))
-        z_ref, res = solve_adjoint(V2, u2k, goal, prob, lcfg, 6)
+        assert np.array_equal(r2k, assemble_residual(V2, u2k, prob))
+        z_ref, res = solve_adjoint(V2, u2k, goal, prob, lcfg)
         assert res.converged
         rel = np.linalg.norm(z2k.coeffs - z_ref.coeffs) \
             / np.linalg.norm(z_ref.coeffs)
         if lcfg.kind == "direct":
             assert rel <= 1e-12
         else:
-            K = assemble_jacobian(V2, u2k, prob, 6)
+            K = assemble_jacobian(V2, u2k, prob)
             g = goal.gradient(V2, u2k)
             assert np.linalg.norm(K.T @ z2k.coeffs - g) \
                 <= lcfg.gmres_rel_tol * np.linalg.norm(g)
@@ -324,9 +322,10 @@ def test_adjoint_p2_equals_directly_assembled_backward_problem():
     goal = FinalTimeIntegralGoal()
     u, _ = newton_solve(prob, V, zero_function(V), lcfg=DIRECT)
     z, _ = solve_adjoint(V, u, goal, prob, DIRECT)
-    # backward heat operator: transposed time matrix plus stiffness
-    T = assemble_time_matrix(V, dirichlet=False)
-    K = assemble_jacobian(V, u, prob, dirichlet=False)
+    # backward heat operator: transposed time matrix plus stiffness on the
+    # free dofs, where the constrained identity rows and columns are masked
+    T = assemble_time_matrix(V)
+    K = assemble_jacobian(V, u, prob)
     S = K - T
     m = V.free.astype(float)
     B = (sp.diags(m) @ (T.T + S) @ sp.diags(m) + sp.diags(1 - m)).tocsr()
