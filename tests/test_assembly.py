@@ -409,20 +409,15 @@ def test_cached_source_follows_the_problem():
 
 
 def identity_rows(V, K):
-    """Reference boundary treatment of a raw CSR matrix, in place: identity
-    rows and columns on the constrained dofs, explicit zeros dropped."""
+    """Reference boundary treatment of a raw CSR matrix, on a copy: identity
+    rows and columns on the constrained dofs, explicit zeros dropped. ``K``
+    itself is left raw, so a bound may still be scaled by its entries."""
     rows = np.repeat(np.arange(V.n_dofs), np.diff(K.indptr))
     keep = V.free[rows] & V.free[K.indices]
-    K.data = np.where(keep, K.data, rows == K.indices)
-    K.eliminate_zeros()
-    return K
-
-
-def coo_scatter(V, k_loc, dirichlet):
-    """Reference scatter: COO to CSR, then with ``dirichlet`` identity rows
-    and columns on the constrained dofs."""
-    K = einsum_scatter(V, k_loc)
-    return identity_rows(V, K) if dirichlet else K
+    out = K.copy()
+    out.data = np.where(keep, K.data, rows == K.indices)
+    out.eliminate_zeros()
+    return out
 
 
 def marked_space(d, degree):
@@ -445,8 +440,10 @@ def test_cached_scatter_matches_coo_reference(d, degree, dirichlet):
         got_sorted = got.copy()
         got_sorted.sort_indices()
         assert np.array_equal(got.indices, got_sorted.indices)
-        ref = coo_scatter(V, k_loc, dirichlet)
-        if not dirichlet:
+        ref = einsum_scatter(V, k_loc)
+        if dirichlet:
+            ref = identity_rows(V, ref)
+        else:
             got, ref = (free @ K @ free for K in (got, ref))
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
