@@ -147,9 +147,8 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
                                 elements=mesh.n_elements,
                                 newton_iters=stats.newton_iters,
                                 inner_iters=stats.total_inner_iters,
+                                newton_tol=stats.tol,
                                 converged=stats.converged)
-        rec.newton_tol = max(ncfg.abs_tol,
-                             ncfg.rel_tol * stats.residual_history[0])
 
         if goal is not None:
             rec.J_h = goal.value(space, u)

@@ -2,14 +2,13 @@
 
 The nonlinear systems are solved by a damped Newton method whose damping
 parameter is chosen by a residual-based line search (halving, first decrease
-accepted).  Jacobian and adjoint systems are solved either by a sparse direct
-factorization or by full (restart-free) GMRES with a relative tolerance of
-1e-8, capped at 100 iterations.  GMRES is right-preconditioned by the
-default ``"ilu0"`` choice, which is SuperLU's threshold incomplete LU
-(``scipy.sparse.linalg.spilu``) with drop tolerance 1e-4 (the name is kept
-for the benchmark and existing scripts), or by Jacobi.  A preconditioner
-that cannot be built is reported as an unconverged solve, like a singular
-direct solve.
+accepted).  ``linear_solve`` factors a matrix once: by a sparse direct LU, or
+by the right preconditioner of full (restart-free) GMRES with a relative
+tolerance of 1e-8, capped at 100 iterations.  The preconditioner is the
+default ``"ilu0"``, SuperLU's threshold incomplete LU with drop tolerance
+1e-4, or Jacobi.  The one factor of a Jacobian K(u) solves the Newton
+correction with K and the adjoint with K^T.  A singular factor, or a
+preconditioner that cannot be built, is reported as an unconverged solve.
 """
 
 from __future__ import annotations
@@ -67,14 +66,13 @@ class LinearSolveResult:
     iters: int
     converged: bool
     residual_history: list = field(default_factory=list)
-    transposed: LinearSolveResult | None = None  # K^T y = bt, given bt
 
 
 @dataclass
 class SolveStats:
     newton_iters: int = 0
     total_inner_iters: int = 0
-    final_residual_norm: float = np.inf
+    tol: float = np.nan  # the residual norm at which Newton stops
     converged: bool = False
     residual_history: list = field(default_factory=list)
     adjoint: FeFunction | None = None  # z at the returned u, given a goal
@@ -157,40 +155,34 @@ class Ilu0:
         return self._factor.solve(b, trans)
 
 
-def make_preconditioner(K: sp.csr_matrix, kind: str):
-    """``apply(v, trans="N")`` for K, or for K^T with ``trans="T"``."""
-    if kind == "jacobi":
-        d = K.diagonal()
-        if np.any(d == 0.0):
-            raise RuntimeError("Jacobi preconditioner needs a nonzero "
-                               "diagonal")
-        inv = 1.0 / d
-        return lambda v, trans="N": inv * v
-    if kind == "ilu0":
-        return Ilu0(K).solve
-    raise ValueError(f"unknown preconditioner {kind!r}")
+def linear_solve(K: sp.spmatrix, cfg: LinearSolverConfig):
+    """Factor K once by the configured method: its sparse LU, or the GMRES
+    preconditioner built from K.
 
-
-def linear_solve(K: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig,
-                 bt: np.ndarray = None) -> LinearSolveResult:
-    """Solve K x = b by the configured method; with ``bt``, the same LU or
-    preconditioner also solves K^T y = bt, returned as ``transposed``.
-
-    Direct solves use a sparse LU factorization.  A singular factorization,
-    a preconditioner that cannot be built, and a GMRES solve that stops at
-    its cap are reported through the ``converged`` flag, never raised.
+    Returns ``solve(rhs, trans="N")``, which solves K x = rhs, or
+    K^T x = rhs with ``trans="T"``, by that one factor and gives a
+    ``LinearSolveResult``.  A singular factorization, a preconditioner that
+    cannot be built, and a GMRES solve that stops at its cap are reported
+    through the ``converged`` flag, never raised.
     """
-    if K.shape[0] != K.shape[1] or K.shape[0] != b.shape[0]:
-        raise ValueError("system dimensions do not match")
-    if cfg.kind == "gmres":
-        K = sp.csr_matrix(K)
     try:  # apply(v, trans) by the LU of K or the preconditioner built from K
-        apply = spla.splu(sp.csc_matrix(K)).solve if cfg.kind == "direct" \
-            else make_preconditioner(K, cfg.preconditioner)
+        if cfg.kind == "direct":
+            apply = spla.splu(sp.csc_matrix(K)).solve
+        elif cfg.preconditioner == "ilu0":
+            apply = Ilu0(K).solve
+        else:
+            d = K.diagonal()
+            if np.any(d == 0.0):
+                raise RuntimeError("Jacobi preconditioner needs a nonzero "
+                                   "diagonal")
+            inv = 1.0 / d
+            apply = lambda v, trans: inv * v
     except RuntimeError:  # a singular factor is reported, not raised
         apply = None
 
-    def solve(rhs, trans):
+    def solve(rhs: np.ndarray, trans: str = "N") -> LinearSolveResult:
+        if K.shape[0] != K.shape[1] or K.shape[0] != rhs.shape[0]:
+            raise ValueError("system dimensions do not match")
         if apply is not None and cfg.kind == "gmres":
             A = K if trans == "N" else K.T
             return gmres(lambda v: A @ v, rhs, cfg.gmres_rel_tol,
@@ -201,10 +193,7 @@ def linear_solve(K: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig,
             return LinearSolveResult(np.zeros_like(rhs), 0, False, [])
         return LinearSolveResult(x, 1, True, [])
 
-    res = solve(b, "N")
-    if bt is not None:
-        res.transposed = solve(bt, "T")
-    return res
+    return solve
 
 
 def random_initial_guess(space: FeSpace, seed: int = 0,
@@ -223,13 +212,15 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
 
     The step length is halved until the residual norm decreases; close to the
     solution the full step is always accepted.  Inner solver failures are
-    recorded and the iteration continues with the returned correction.
+    recorded and the iteration continues with the returned correction.  The
+    factor of each iterate's Jacobian is freed before the next is built.
 
     With a ``goal``, from the first step on (and at the tolerance or the
-    cap) the factor of each iterate's Jacobian also solves the adjoint
+    cap) the factor of each iterate's Jacobian first solves the adjoint
     K(u)^T z = J'(u) there, and the iteration ends converged once
-    ``stop(u, r, z)`` holds.  ``stats.adjoint`` is z at the returned u, and
-    must converge too; it is None if the line search fails at the start.
+    ``stop(u, r, z)`` holds; an iterate that ends the iteration solves no
+    correction.  ``stats.adjoint`` is z at the returned u, and must converge
+    too; it is None if the line search fails at the start.
     """
     ncfg = ncfg or NewtonConfig()
     lcfg = lcfg or LinearSolverConfig()
@@ -239,26 +230,26 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
     state = quadrature_state(space, u, prob)
     r = assemble_residual(space, state, prob)
     rnorm = np.linalg.norm(r)
-    tol = max(ncfg.abs_tol, ncfg.rel_tol * rnorm)
-    stats = SolveStats(residual_history=[rnorm])
+    stats = SolveStats(tol=max(ncfg.abs_tol, ncfg.rel_tol * rnorm),
+                       residual_history=[rnorm])
     zres = None  # the adjoint solve at the current iterate, given a goal
     while True:
-        met = rnorm <= tol
+        met = rnorm <= stats.tol
         # a NaN residual also ends the iteration, unconverged
-        last = not rnorm > tol or stats.newton_iters >= ncfg.max_iter
+        last = not rnorm > stats.tol or stats.newton_iters >= ncfg.max_iter
         if last and goal is None:
             break
-        probe = goal is not None and (stats.newton_iters > 0 or last)
-        res = linear_solve(assemble_jacobian(space, state, prob), -r,
-                           lcfg, goal.gradient(space, u) if probe else None)
-        stats.total_inner_iters += res.iters
-        if probe:
-            zres = res.transposed
+        solve = linear_solve(assemble_jacobian(space, state, prob), lcfg)
+        if goal is not None and (stats.newton_iters > 0 or last):
+            zres = solve(goal.gradient(space, u), "T")
             stats.total_inner_iters += zres.iters
             stats.adjoint = FeFunction(space, zres.x)
             met = stop(u, r, stats.adjoint) or met
             if met or last:
                 break
+        res = solve(-r)
+        del solve  # free this factor before the next one is built
+        stats.total_inner_iters += res.iters
         w = res.x
         lam = 1.0
         accepted = False
@@ -277,7 +268,6 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
         r, rnorm = r_trial, rt
         stats.newton_iters += 1
         stats.residual_history.append(rnorm)
-    stats.final_residual_norm = rnorm
     stats.converged = bool(met) and (zres is None or zres.converged)
     return u, stats
 
@@ -285,10 +275,10 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
 def solve_adjoint(space: FeSpace, u: FeFunction, goal,
                   prob: ProblemDefinition, lcfg: LinearSolverConfig = None
                   ) -> tuple[FeFunction, LinearSolveResult]:
-    """Discrete adjoint solve: the transposed Jacobian at u against the goal
-    gradient.  Linear, backward in time."""
-    lcfg = lcfg or LinearSolverConfig()
-    g = goal.gradient(space, u)
-    K = assemble_jacobian(space, u, prob)
-    res = linear_solve(K.T, g, lcfg)
+    """Discrete adjoint solve: the goal gradient against the transposed
+    Jacobian at u, by the factor of that Jacobian.  Linear, backward in
+    time."""
+    solve = linear_solve(assemble_jacobian(space, u, prob),
+                         lcfg or LinearSolverConfig())
+    res = solve(goal.gradient(space, u), "T")
     return FeFunction(space, res.x), res

@@ -69,7 +69,7 @@ def test_residual_vanishes_at_discrete_heat_solution():
     # one exact Newton step from zero solves the linear problem
     r0 = assemble_residual(V, zero_function(V), prob)
     K = assemble_jacobian(V, zero_function(V), prob)
-    res = linear_solve(K, -r0, LinearSolverConfig(kind="direct"))
+    res = linear_solve(K, LinearSolverConfig(kind="direct"))(-r0)
     u = FeFunction(V, res.x)
     r = assemble_residual(V, u, prob)
     load = np.zeros(V.n_dofs)
@@ -425,26 +425,19 @@ def marked_space(d, degree):
     return FeSpace(refine(mesh, np.arange(0, mesh.n_elements, 3)), degree)
 
 
-@pytest.mark.parametrize("dirichlet", [True, False])
 @pytest.mark.parametrize("d,degree", CASES)
-def test_cached_scatter_matches_coo_reference(d, degree, dirichlet):
-    # against the reference with its identity rows, or on the free rows and
-    # columns against the raw sum
+def test_cached_scatter_matches_coo_reference(d, degree):
+    # every entry against the reference with its identity rows
     V = marked_space(d, degree)
     rng = np.random.default_rng(21)
     nloc = V.n_local
-    free = sp.diags(V.free.astype(float))
     for _ in range(3):
         k_loc = rng.normal(size=(V.mesh.n_elements, nloc, nloc))
         got = _scatter_matrix(V, k_loc)
         got_sorted = got.copy()
         got_sorted.sort_indices()
         assert np.array_equal(got.indices, got_sorted.indices)
-        ref = einsum_scatter(V, k_loc)
-        if dirichlet:
-            ref = identity_rows(V, ref)
-        else:
-            got, ref = (free @ K @ free for K in (got, ref))
+        ref = identity_rows(V, einsum_scatter(V, k_loc))
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
         assert np.abs(got.data - ref.data).max() \

@@ -65,7 +65,7 @@ def test_gmres_iteration_cap_flags_nonconvergence():
 def test_preconditioned_linear_solve(pc):
     A, b = spd_system(seed=9)
     cfg = LinearSolverConfig(kind="gmres", preconditioner=pc)
-    res = linear_solve(A, b, cfg)
+    res = linear_solve(A, cfg)(b)
     xd = np.linalg.solve(A.toarray(), b)
     assert np.linalg.norm(res.x - xd) / np.linalg.norm(xd) < 1e-6
 
@@ -111,9 +111,9 @@ def test_direct_singular_reported_not_raised():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
     for cfg in (DIRECT, GMRES_ILU,
                 LinearSolverConfig(kind="gmres", preconditioner="jacobi")):
-        res = linear_solve(A, np.array([1.0, 2.0]), cfg,
-                           bt=np.array([1.0, 2.0]))
-        for out in (res, res.transposed):
+        solve = linear_solve(A, cfg)
+        b = np.array([1.0, 2.0])
+        for out in (solve(b), solve(b, "T")):
             assert not out.converged
             assert out.iters == 0
             assert np.all(out.x == 0.0)
@@ -264,7 +264,69 @@ def test_guard_ends_the_enriched_newton_after_the_first_step():
     assert len(calls) == 1 and calls[0] is u2
     assert stats.adjoint is not None
     # not reached by the residual tolerance
-    assert stats.final_residual_norm > 1e-9 * stats.residual_history[0]
+    assert stats.residual_history[-1] > stats.tol
+
+
+@pytest.mark.parametrize("lcfg", [DIRECT, GMRES_ILU], ids=["direct", "ilu0"])
+def test_no_iterate_solves_a_correction_it_discards(monkeypatch, lcfg):
+    # the guard holds after the first step: the factor of that iterate's
+    # Jacobian solves its adjoint and no correction
+    import stfem.solvers as solvers
+    factors = []  # (unknowns, [(trans, iters) of each solve with it])
+    factor = solvers.linear_solve
+
+    def counted(K, cfg):
+        solve, made = factor(K, cfg), []
+        factors.append((K.shape[0], made))
+
+        def counted_solve(rhs, trans="N"):
+            res = solve(rhs, trans)
+            made.append((trans, res.iters))
+            return res
+
+        return counted_solve
+
+    monkeypatch.setattr(solvers, "linear_solve", counted)
+    _prob, _goal, u2, stats = enriched_newton(lcfg, lambda *_: True)
+    monkeypatch.undo()
+    enriched = [made for n, made in factors if n == u2.space.n_dofs]
+    assert stats.newton_iters == 1 and len(enriched) == 2
+    assert all([t for t, _ in made] == ["N"] for made in enriched[:-1])
+    assert [t for t, _ in enriched[-1]] == ["T"]
+    assert stats.total_inner_iters \
+        == sum(iters for made in enriched for _, iters in made)
+
+
+def test_each_factor_is_freed_before_the_next_is_built(monkeypatch):
+    # an LU kept alive while the next one is built raises the peak memory
+    # of a uniform loop by about an eighth
+    import weakref
+
+    import scipy.sparse.linalg as spla
+    splu = spla.splu
+    factors, alive = [], []
+
+    class Factor:
+        def __init__(self, A):
+            self.lu = splu(A)
+
+        def solve(self, b, trans="N"):
+            return self.lu.solve(b, trans)
+
+    def tracked(A):
+        alive.append(sum(ref() is not None for ref in factors))
+        f = Factor(A)
+        factors.append(weakref.ref(f))
+        return f
+
+    monkeypatch.setattr(spla, "splu", tracked)
+    prob = smooth_problem(1, p=4.0, eps=1e-5)
+    V = FeSpace(uniform_refine(build_box_mesh(1, 2), 2), 1)
+    _, stats = newton_solve(prob, V, random_initial_guess(V, seed=0),
+                            lcfg=DIRECT)
+    monkeypatch.undo()
+    assert stats.converged and len(factors) == stats.newton_iters >= 3
+    assert alive == [0] * len(factors)
 
 
 def test_unconverged_enriched_adjoint_fails_the_solve():
@@ -316,6 +378,35 @@ def test_adjoint_defining_identity():
     assert np.linalg.norm(K.T @ z.coeffs - g) <= 1e-8 * np.linalg.norm(g)
 
 
+@pytest.mark.parametrize("lcfg", [DIRECT, GMRES_ILU], ids=["direct", "ilu0"])
+def test_adjoint_factors_the_jacobian_not_its_transpose(monkeypatch, lcfg):
+    import scipy.sparse.linalg as spla
+    from stfem.solvers import Ilu0
+    prob = smooth_problem(1, p=4.0, eps=1e-2)
+    V = FeSpace(uniform_refine(build_box_mesh(1, 2), 1), 1)
+    goal = FinalTimeIntegralGoal()
+    u, _ = newton_solve(prob, V, random_initial_guess(V, seed=0), lcfg=DIRECT)
+    factored = []
+    splu, ilu = spla.splu, Ilu0.__init__
+
+    def record_lu(A):
+        factored.append(A)
+        return splu(A)
+
+    def record_ilu(self, A):
+        factored.append(A)
+        ilu(self, A)
+
+    monkeypatch.setattr(spla, "splu", record_lu)
+    monkeypatch.setattr(Ilu0, "__init__", record_ilu)
+    _, res = solve_adjoint(V, u, goal, prob, lcfg)
+    monkeypatch.undo()
+    assert res.converged and len(factored) == 1
+    K = assemble_jacobian(V, u, prob).toarray()
+    assert not np.array_equal(K, K.T)  # the check tells K from K^T
+    assert np.array_equal(factored[0].toarray(), K)
+
+
 def test_adjoint_p2_equals_directly_assembled_backward_problem():
     prob = smooth_problem(1, p=2.0, eps=1.0)
     V = FeSpace(uniform_refine(build_box_mesh(1, 2), 1), 1)
@@ -329,7 +420,7 @@ def test_adjoint_p2_equals_directly_assembled_backward_problem():
     S = K - T
     m = V.free.astype(float)
     B = (sp.diags(m) @ (T.T + S) @ sp.diags(m) + sp.diags(1 - m)).tocsr()
-    res = linear_solve(B, goal.gradient(V, u), DIRECT)
+    res = linear_solve(B, DIRECT)(goal.gradient(V, u))
     assert np.linalg.norm(res.x - z.coeffs) < 1e-8 * np.linalg.norm(z.coeffs)
 
 
