@@ -3,8 +3,10 @@
 Triangles at orders 4 and 6 (6 and 12 points, Dunavant, IJNME 21 (1985)) and
 tetrahedra at order 6 (24 points, Keast, CMAME 55 (1986)) have tabulated
 fully symmetric rules; every other order is a conical product of
-Gauss-Jacobi lines (Duffy construction).  All weights are positive and all
-points interior.  The reference simplex is {xi_i >= 0, sum xi_i <= 1}.
+Gauss-Jacobi lines (Duffy construction), all from numpy: Gauss-Legendre, and
+Golub-Welsch (Math. Comp. 23 (1969)) for the weights (1 - x)^alpha, alpha =
+1, 2, so no special-function library is loaded.  All weights are positive
+and all points interior.  The reference simplex is {xi_i >= 0, sum xi_i <= 1}.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from itertools import permutations
 from math import factorial
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 MAX_ORDER = 12
 
@@ -69,6 +70,19 @@ def simplex_rule(dim: int, order: int) -> QuadratureRule:
     return rule
 
 
+def _gauss_jacobi(n: int, alpha: int) -> tuple:
+    """n-point Gauss rule on [-1, 1] for the weight (1 - x)^alpha, alpha >= 1:
+    the eigenvalues of its Jacobi matrix, and mu_0 = 2^(alpha+1) / (alpha+1)
+    (the weight's integral) times the squared first eigenvector entries."""
+    k = np.arange(n)
+    s = 2 * k + alpha
+    diag = -alpha ** 2 / (s * (s + 2.0))
+    k, s = k[1:], s[1:]
+    off = 2 * k * (k + alpha) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 ** (alpha + 1) / (alpha + 1) * v[0] ** 2
+
+
 def _conical(dim: int, order: int) -> tuple:
     """Points and weights of the conical product rule of the given order."""
     npts = max(1, (order + 2) // 2)
@@ -78,7 +92,7 @@ def _conical(dim: int, order: int) -> tuple:
         if alpha == 0:
             x, w = np.polynomial.legendre.leggauss(npts)
         else:
-            x, w = roots_jacobi(npts, alpha, 0.0)
+            x, w = _gauss_jacobi(npts, alpha)
         # map [-1,1] with weight (1-x)^alpha onto [0,1] with (1-s)^alpha
         s = 0.5 * (x + 1.0)
         ws = w / 2.0 ** (alpha + 1)

@@ -38,8 +38,8 @@ class NewtonConfig:
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("Newton tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("need max_iter >= 1")
+        if self.max_iter < 1 or self.max_line_search_steps < 1:
+            raise ValueError("need max_iter, max_line_search_steps >= 1")
 
 
 @dataclass
@@ -56,8 +56,9 @@ class LinearSolverConfig:
             raise ValueError(f"unknown linear solver kind {self.kind!r}")
         if self.preconditioner not in ("jacobi", "ilu0"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
-        if self.gmres_rel_tol <= 0:
-            raise ValueError("GMRES tolerance must be positive")
+        if self.gmres_rel_tol <= 0 or self.gmres_max_iter < 1:
+            raise ValueError("GMRES needs a positive tolerance and "
+                             "gmres_max_iter >= 1")
 
 
 @dataclass

@@ -150,15 +150,30 @@ def test_loop_continues_after_newton_failure():
     assert any(not r.converged for r in result.records)
 
 
-def test_stalled_enriched_newton_still_gives_an_estimate():
-    # with no line-search trial every Newton stops at its start, before the
-    # guard is first called; the level is still estimated and marked, and
-    # its record reports the failure
+def test_stalled_enriched_newton_still_gives_an_estimate(monkeypatch):
+    # every Newton correction is zero, so no line-search trial lowers the
+    # residual and every Newton stops at its start, before the guard is
+    # first called; the adjoint solves are left as they are.  The level is
+    # still estimated and marked, and its record reports the failure
+    from stfem import solvers
+    linear_solve = solvers.linear_solve
+
+    def zero_corrections(K, lcfg):
+        solve = linear_solve(K, lcfg)
+
+        def stalled(rhs, trans="N"):
+            res = solve(rhs, trans)
+            if trans == "N":
+                res.x = np.zeros_like(res.x)
+            return res
+        return stalled
+
+    monkeypatch.setattr(solvers, "linear_solve", zero_corrections)
     prob = smooth_problem(1, p=4.0, eps=1e-5)
     prob.exact_goal = EXACT_GOAL_D1
     cfg = AdaptiveConfig(mode="dwr", theta=0.5, max_dofs=400, max_levels=3)
     result = adaptive_loop(prob, FinalTimeIntegralGoal(), build_box_mesh(1, 2),
-                           cfg, NewtonConfig(max_line_search_steps=0), DIRECT)
+                           cfg, NewtonConfig(max_line_search_steps=1), DIRECT)
     assert not result.converged and len(result.records) == 3
     for rec in result.records:
         assert not rec.converged and rec.newton_iters == 0

@@ -26,6 +26,15 @@ def run_worker(tmp_path, workload: str, trace: int) -> list:
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
+def test_benchmark_json_is_generated_from_the_spec():
+    # report.py makes the same check, but only when the benchmark runs
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "spec.py")],
+                          capture_output=True, text=True, cwd=ROOT, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    on_disk = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert on_disk == json.loads(proc.stdout)
+
+
 def test_traced_worker_sees_every_wrapped_layer(tmp_path):
     result = run_worker(tmp_path, "dwr_final_time_1d_ilu0", 1)[-1]["result"]
     assert result["failures"] == {}

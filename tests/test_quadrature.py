@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from stfem import quadrature, spaces
 from stfem.assembly import assemble_jacobian, quadrature_state
@@ -30,7 +35,7 @@ def _monomial_integral(alpha):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 8])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 8, 10, 12])
 def test_polynomial_exactness(dim, order):
     rule = simplex_rule(dim, order)
     for alpha in itertools.product(range(order + 1), repeat=dim):
@@ -38,6 +43,29 @@ def test_polynomial_exactness(dim, order):
             continue
         val = rule.weights @ np.prod(rule.points ** np.array(alpha), axis=1)
         assert val == pytest.approx(_monomial_integral(alpha), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_gauss_jacobi_lines_match_scipy(n, alpha):
+    x, w = quadrature._gauss_jacobi(n, alpha)
+    x_ref, w_ref = roots_jacobi(n, alpha, 0.0)
+    assert np.abs(x - x_ref).max() <= 1e-13
+    assert np.abs(w - w_ref).max() <= 1e-13 * w_ref.max()
+
+
+def test_stfem_loads_no_special_function_library():
+    # the Gauss-Jacobi lines come from numpy; a fresh interpreter importing
+    # the package and its command line must not load scipy.special
+    code = ("import sys, stfem, stfem.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.special')))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_specific_reference_values():

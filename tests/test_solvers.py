@@ -75,6 +75,13 @@ def test_unpreconditioned_gmres_is_not_a_choice():
         LinearSolverConfig(kind="gmres", preconditioner="none")
 
 
+def test_gmres_without_iterations_is_rejected():
+    # zero iterations would return x = 0 flagged unconverged: a usage error,
+    # not a numerical failure
+    with pytest.raises(ValueError, match="gmres_max_iter"):
+        LinearSolverConfig(kind="gmres", gmres_max_iter=0)
+
+
 def test_ilu_preconditions_the_enriched_adjoint_of_a_dwr_level():
     # final-time DWR in d=1 at 149 primal dofs: the P2-enriched adjoint
     # system has 552 unknowns; a zero-fill ILU(0) left GMRES at its
@@ -204,6 +211,12 @@ def test_newton_iteration_cap_reports_failure():
                             NewtonConfig(max_iter=2), DIRECT)
     assert not stats.converged
     assert stats.newton_iters == 2
+
+
+def test_newton_without_line_search_trials_is_rejected():
+    # no trial means no step: every Newton would end unconverged at its start
+    with pytest.raises(ValueError, match="max_line_search_steps"):
+        NewtonConfig(max_line_search_steps=0)
 
 
 def enriched_newton(lcfg, stop, ncfg=None):
