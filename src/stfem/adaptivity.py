@@ -1,8 +1,9 @@
 """Doerfler marking and the outer adaptive refinement loop.
 
 Each adaptive level solves the nonlinear primal problem (warm-started from the
-previous level by nested iteration), the linear adjoint problem, and their
-enriched counterparts, localizes the dual-weighted residual estimator, marks a
+previous level by nested iteration) and the linear adjoint problem, by the
+factor of the Jacobian at the primal Newton's last iterate, then their enriched
+counterparts; it localizes the dual-weighted residual estimator, marks a
 minimal bulk of elements, and refines.  Uniform mode refines everything and
 skips the estimation stages.
 
@@ -132,7 +133,6 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
     u_prev = None
     u2_prev = None  # last converged enriched solution, for nested iteration
     u = None
-    all_ok = True
 
     for level in range(cfg.max_levels):
         space = FeSpace(mesh, cfg.degree)
@@ -141,7 +141,8 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
             init = transfer(u_prev, space)
         else:
             init = random_initial_guess(space, seed=cfg.seed)
-        u, stats = newton_solve(prob, space, init, ncfg, lcfg)
+        u, stats = newton_solve(prob, space, init, ncfg, lcfg,
+                                goal=goal if cfg.mode == "dwr" else None)
 
         rec = ConvergenceRecord(level=level, dofs=space.n_dofs,
                                 elements=mesh.n_elements,
@@ -159,7 +160,9 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
                 u, prob.exact.value, prob.exact.grad)
 
         if cfg.mode == "dwr":
-            z, zres = solve_adjoint(space, u, goal, prob, lcfg)
+            z = stats.adjoint
+            if z is None:  # the line search failed before z was solved
+                z, _ = solve_adjoint(space, u, goal, prob, lcfg)
             space2 = enrich(space)
             init2 = inject(u, space2) if u2_prev is None \
                 else transfer(u2_prev, space2)
@@ -176,9 +179,8 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
             if bd is None:  # the line search failed at the start
                 z2, _ = solve_adjoint(space2, u2, goal, prob, lcfg)
                 bd = estimate(prob, goal, u, z, u2, z2)
-            rec.inner_iters += zres.iters + stats2.total_inner_iters
-            rec.converged = stats.converged and zres.converged \
-                and stats2.converged
+            rec.inner_iters += stats2.total_inner_iters
+            rec.converged = stats.converged and stats2.converged
             rec.eta_h_p, rec.eta_h_a = bd.eta_h_p, bd.eta_h_a
             rec.eta_h, rec.eta_k = bd.eta_h, bd.eta_k
             rec.pu_gap = abs(bd.local.sum() - bd.eta_h)
@@ -188,7 +190,6 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
                 if ih is not None:
                     rec.I_eff_h, rec.I_eff_p, rec.I_eff_a = ih, ip, ia
 
-        all_ok = all_ok and rec.converged
         records.append(rec)
         if callback is not None:
             callback(level, mesh, space, u, rec)
@@ -205,4 +206,5 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
             mesh = uniform_refine(mesh, cfg.uniform_rounds)
         u_prev = u
 
-    return AdaptiveResult(records, mesh, u, all_ok)
+    return AdaptiveResult(records, mesh, u,
+                          all(r.converged for r in records))

@@ -131,20 +131,10 @@ def quadrature_state(space: FeSpace, u,
                            s ** ((prob.p - 2.0) / 2.0))
 
 
-def residual_element_vectors(space: FeSpace, u,
-                             prob: ProblemDefinition) -> np.ndarray:
-    """Per-element residual contributions, shape (n_elements, n_local).
-
-    No boundary conditions are applied; summing entry [e, a] into dof
-    elem_dofs[e, a] gives the raw residual vector.
-    """
-    return quadrature_state(space, u, prob).residual
-
-
 def assemble_residual(space: FeSpace, u,
                       prob: ProblemDefinition) -> np.ndarray:
     """Global residual with constrained entries set to zero."""
-    r_loc = residual_element_vectors(space, u, prob)
+    r_loc = quadrature_state(space, u, prob).residual
     r = np.bincount(space.elem_dofs.ravel(), r_loc.ravel(), space.n_dofs)
     r[space.constrained] = 0.0
     return r
@@ -232,5 +222,5 @@ def residual_form_element_values(space: FeSpace, u,
     the function with coefficient vector ``weight``: the residual element
     vectors contracted with w's element coefficients.
     """
-    r = residual_element_vectors(space, u, prob)
+    r = quadrature_state(space, u, prob).residual
     return np.einsum("ea,ea->e", r, weight[space.elem_dofs])

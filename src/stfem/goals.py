@@ -116,7 +116,7 @@ class RegionEnergyGoal(Goal):
         cache = getattr(mesh, "_region_inside_cache", None)
         if cache is None:
             cache = mesh._region_inside_cache = {}
-        key = self.region.label
+        key = self.region  # not its label, which omits the centre
         if key not in cache:
             inside = self.region.contains(mesh.barycenters())
             captured = mesh.volumes()[inside].sum()

@@ -26,6 +26,9 @@ from .spaces import FeFunction, FeSpace
 
 # drop tolerance of the "ilu0" preconditioner's threshold incomplete LU
 ILU_DROP_TOL = 1e-4
+# relative residual tolerance and iteration cap of every GMRES solve
+GMRES_REL_TOL = 1e-8
+GMRES_MAX_ITER = 100
 
 
 @dataclass
@@ -45,8 +48,6 @@ class NewtonConfig:
 @dataclass
 class LinearSolverConfig:
     kind: str = "direct"  # "direct" or "gmres"
-    gmres_rel_tol: float = 1e-8
-    gmres_max_iter: int = 100
     # "ilu0": SuperLU's threshold incomplete LU with drop tolerance 1e-4
     # (ILU_DROP_TOL), named "ilu0" for existing scripts; or "jacobi"
     preconditioner: str = "ilu0"
@@ -56,9 +57,6 @@ class LinearSolverConfig:
             raise ValueError(f"unknown linear solver kind {self.kind!r}")
         if self.preconditioner not in ("jacobi", "ilu0"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
-        if self.gmres_rel_tol <= 0 or self.gmres_max_iter < 1:
-            raise ValueError("GMRES needs a positive tolerance and "
-                             "gmres_max_iter >= 1")
 
 
 @dataclass
@@ -186,8 +184,7 @@ def linear_solve(K: sp.spmatrix, cfg: LinearSolverConfig):
             raise ValueError("system dimensions do not match")
         if apply is not None and cfg.kind == "gmres":
             A = K if trans == "N" else K.T
-            return gmres(lambda v: A @ v, rhs, cfg.gmres_rel_tol,
-                         cfg.gmres_max_iter,
+            return gmres(lambda v: A @ v, rhs, GMRES_REL_TOL, GMRES_MAX_ITER,
                          right_prec=lambda v: apply(v, trans))
         x = None if apply is None else apply(rhs, trans)
         if x is None or not np.all(np.isfinite(x)):
@@ -216,12 +213,12 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
     recorded and the iteration continues with the returned correction.  The
     factor of each iterate's Jacobian is freed before the next is built.
 
-    With a ``goal``, from the first step on (and at the tolerance or the
-    cap) the factor of each iterate's Jacobian first solves the adjoint
-    K(u)^T z = J'(u) there, and the iteration ends converged once
-    ``stop(u, r, z)`` holds; an iterate that ends the iteration solves no
-    correction.  ``stats.adjoint`` is z at the returned u, and must converge
-    too; it is None if the line search fails at the start.
+    With a ``goal``, the factor of the Jacobian where the tolerance or the
+    cap ends the iteration (and, given ``stop``, each iterate's from the
+    first step on) solves the adjoint K(u)^T z = J'(u) there; the iteration
+    ends converged once ``stop(u, r, z)`` holds, and the iterate that ends it
+    solves no correction.  ``stats.adjoint`` is z at the returned u, and must
+    converge too; it is None if the line search fails before z is solved.
     """
     ncfg = ncfg or NewtonConfig()
     lcfg = lcfg or LinearSolverConfig()
@@ -241,11 +238,11 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
         if last and goal is None:
             break
         solve = linear_solve(assemble_jacobian(space, state, prob), lcfg)
-        if goal is not None and (stats.newton_iters > 0 or last):
+        if goal is not None and (last or (stop and stats.newton_iters > 0)):
             zres = solve(goal.gradient(space, u), "T")
             stats.total_inner_iters += zres.iters
             stats.adjoint = FeFunction(space, zres.x)
-            met = stop(u, r, stats.adjoint) or met
+            met = (stop and stop(u, r, stats.adjoint)) or met
             if met or last:
                 break
         res = solve(-r)

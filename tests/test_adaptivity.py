@@ -189,29 +189,44 @@ def test_csv_field_order_is_stable():
 
 
 def test_capped_adjoint_gmres_fails_the_run(monkeypatch):
-    # the Newton solves stay direct and converge; only the adjoint solves
-    # run one Jacobi-preconditioned GMRES step and stop at that cap
-    from stfem import adaptivity
+    # the Newton corrections stay direct and converge; only the transposed
+    # (adjoint) solves run one Jacobi-preconditioned GMRES step and stop at
+    # that cap, the primal ones inside the primal Newton
+    from stfem import adaptivity, solvers
     from stfem.cli import main
 
-    capped = LinearSolverConfig(kind="gmres", gmres_max_iter=1,
-                                preconditioner="jacobi")
-    solve_adjoint = adaptivity.solve_adjoint
-    adjoint_ok = []
+    monkeypatch.setattr(solvers, "GMRES_MAX_ITER", 1)
+    capped = LinearSolverConfig(kind="gmres", preconditioner="jacobi")
+    linear_solve, newton_solve = solvers.linear_solve, adaptivity.newton_solve
+    adjoint_ok, primal_ok = [], []
 
-    def capped_adjoint(space, u, goal, prob, lcfg=None):
-        z, res = solve_adjoint(space, u, goal, prob, capped)
-        adjoint_ok.append(res.converged)
-        return z, res
+    def capped_adjoints(K, lcfg):
+        correct, adjoint = linear_solve(K, lcfg), linear_solve(K, capped)
 
-    monkeypatch.setattr(adaptivity, "solve_adjoint", capped_adjoint)
+        def solve(rhs, trans="N"):
+            if trans == "N":
+                return correct(rhs)
+            res = adjoint(rhs, trans)
+            adjoint_ok.append(res.converged)
+            return res
+        return solve
+
+    def recording(prob, space, init, *args, **kwargs):
+        u, stats = newton_solve(prob, space, init, *args, **kwargs)
+        if space.degree == 1:
+            primal_ok.append(stats.converged)
+        return u, stats
+
+    monkeypatch.setattr(solvers, "linear_solve", capped_adjoints)
+    monkeypatch.setattr(adaptivity, "newton_solve", recording)
     prob = smooth_problem(1, p=4.0, eps=1e-5)
     cfg = AdaptiveConfig(mode="dwr", theta=0.5, max_dofs=400, max_levels=2)
     result = adaptive_loop(prob, FinalTimeIntegralGoal(), build_box_mesh(1, 2),
                            cfg, lcfg=DIRECT)
     assert adjoint_ok and not any(adjoint_ok)
-    # every level's record reports its capped adjoint
-    assert len(result.records) == len(adjoint_ok) == 2
+    # every level's primal Newton and record report its capped adjoint
+    assert len(result.records) == len(primal_ok) == 2
+    assert not any(primal_ok)
     assert not any(r.converged for r in result.records)
     assert result.converged is False
 

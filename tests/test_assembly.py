@@ -6,7 +6,6 @@ from stfem.assembly import (_scatter_matrix, _time_matrices,
                             assemble_jacobian, assemble_residual,
                             assemble_time_matrix, flux, flux_jacobian,
                             jacobian_form_element_values, quadrature_state,
-                            residual_element_vectors,
                             residual_form_element_values)
 from stfem.mesh import build_box_mesh, refine, uniform_refine
 from stfem.problems import (ProblemDefinition, manufactured_source,
@@ -96,7 +95,7 @@ def test_residual_against_independent_quadrature_oracle():
     prob = smooth_problem(1, p=4.0, eps=0.5)
     V = FeSpace(build_box_mesh(1, 2), 1)
     u = random_state(V, seed=9)
-    got = residual_element_vectors(V, u, prob)
+    got = quadrature_state(V, u, prob).residual
 
     rule = simplex_rule(2, 6)
     vals, ref_grads = tabulate_shape(2, 1, rule.points)
@@ -265,7 +264,7 @@ def test_residual_matches_physical_gradient_einsum(d, degree):
                     grads[..., -1] - f)
     ref += np.einsum("eq,eqi,eqai->ea", b["scale"],
                      flux(grads[..., :-1], prob.p, prob.eps), gphi[..., :-1])
-    assert rel_err(residual_element_vectors(V, u, prob), ref) <= 1e-12
+    assert rel_err(quadrature_state(V, u, prob).residual, ref) <= 1e-12
 
 
 @pytest.mark.parametrize("d,degree", CASES)
@@ -519,7 +518,7 @@ def test_state_evaluates_its_residual_element_vectors_once(d, degree,
     assemble_residual(V, state, prob)
     residual_form_element_values(V, state, w.coeffs, prob)
     assert len(calls) == 1
-    assert residual_element_vectors(V, state, prob) is state.residual
+    assert quadrature_state(V, state, prob).residual is state.residual
     assert not state.residual.flags.writeable
 
 
@@ -565,7 +564,7 @@ def test_one_point_p1_state_is_exact_at_the_form_order(d):
     r, K, jf, rf = full_order_p1_forms(V, u, w, z, prob, V.default_order())
     st = quadrature_state(V, u, prob)
     assert st.qorder == 1 and st.gx.shape[1] == 1
-    assert rel_err(residual_element_vectors(V, st, prob), r) <= 1e-13
+    assert rel_err(quadrature_state(V, st, prob).residual, r) <= 1e-13
     assert abs(assemble_jacobian(V, st, prob) - K).max() \
         <= 1e-13 * abs(K).max()
     assert rel_err(jacobian_form_element_values(

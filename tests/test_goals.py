@@ -167,6 +167,19 @@ def test_region_membership_survives_refinement():
             region.volume, abs=1e-11)
 
 
+def test_regions_of_equal_size_get_their_own_masks():
+    # two diamonds of one radius share a label and a volume, but not a mask
+    mesh = uniform_refine(build_box_mesh(1, 8), 2)
+    centred, shifted = (diamond_region(c, 0.25)
+                        for c in ((0.5, 0.5), (0.25, 0.5)))
+    first = RegionEnergyGoal(centred, 4.0, mesh).inside_elements(mesh)
+    second = RegionEnergyGoal(shifted, 4.0, mesh).inside_elements(mesh)
+    fresh = uniform_refine(build_box_mesh(1, 8), 2)
+    alone = RegionEnergyGoal(shifted, 4.0, fresh).inside_elements(fresh)
+    assert not np.array_equal(first, alone)
+    assert np.array_equal(second, alone)
+
+
 def test_final_time_element_localization_sums_to_derivative():
     V = FeSpace(build_box_mesh(1, 2), 1)
     goal = FinalTimeIntegralGoal()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from stfem import solvers
 from stfem.adaptivity import AdaptiveConfig, adaptive_loop
 from stfem.assembly import (assemble_jacobian, assemble_residual,
                             assemble_time_matrix)
@@ -75,13 +76,6 @@ def test_unpreconditioned_gmres_is_not_a_choice():
         LinearSolverConfig(kind="gmres", preconditioner="none")
 
 
-def test_gmres_without_iterations_is_rejected():
-    # zero iterations would return x = 0 flagged unconverged: a usage error,
-    # not a numerical failure
-    with pytest.raises(ValueError, match="gmres_max_iter"):
-        LinearSolverConfig(kind="gmres", gmres_max_iter=0)
-
-
 def test_ilu_preconditions_the_enriched_adjoint_of_a_dwr_level():
     # final-time DWR in d=1 at 149 primal dofs: the P2-enriched adjoint
     # system has 552 unknowns; a zero-fill ILU(0) left GMRES at its
@@ -152,7 +146,6 @@ def test_newton_nonlinear_converges_with_monotone_residuals():
 
 
 def test_newton_jacobian_reuses_the_accepted_trial_state(monkeypatch):
-    import stfem.solvers as solvers
     prob = smooth_problem(1, p=4.0, eps=1e-5)
     V = FeSpace(uniform_refine(build_box_mesh(1, 2), 1), 2)
     residuals, jacobians, evaluations = [], [], []
@@ -261,7 +254,7 @@ def test_iterate_factor_solves_the_enriched_adjoint(lcfg):
             K = assemble_jacobian(V2, u2k, prob)
             g = goal.gradient(V2, u2k)
             assert np.linalg.norm(K.T @ z2k.coeffs - g) \
-                <= lcfg.gmres_rel_tol * np.linalg.norm(g)
+                <= solvers.GMRES_REL_TOL * np.linalg.norm(g)
             assert rel <= 1e-6
 
 
@@ -284,7 +277,6 @@ def test_guard_ends_the_enriched_newton_after_the_first_step():
 def test_no_iterate_solves_a_correction_it_discards(monkeypatch, lcfg):
     # the guard holds after the first step: the factor of that iterate's
     # Jacobian solves its adjoint and no correction
-    import stfem.solvers as solvers
     factors = []  # (unknowns, [(trans, iters) of each solve with it])
     factor = solvers.linear_solve
 
@@ -308,6 +300,46 @@ def test_no_iterate_solves_a_correction_it_discards(monkeypatch, lcfg):
     assert [t for t, _ in enriched[-1]] == ["T"]
     assert stats.total_inner_iters \
         == sum(iters for made in enriched for _, iters in made)
+
+
+@pytest.mark.parametrize("lcfg", [DIRECT, GMRES_ILU], ids=["direct", "ilu0"])
+def test_primal_newton_solves_its_adjoint_with_the_last_factor(monkeypatch,
+                                                               lcfg):
+    # given a goal and no stop, only the factor of the Jacobian at the
+    # returned iterate solves K(u)^T z = J'(u), as solve_adjoint does
+    factors = []  # the trans of each solve, per factor
+    factor = solvers.linear_solve
+
+    def counted(K, cfg):
+        solve, made = factor(K, cfg), []
+        factors.append(made)
+
+        def counted_solve(rhs, trans="N"):
+            made.append(trans)
+            return solve(rhs, trans)
+
+        return counted_solve
+
+    monkeypatch.setattr(solvers, "linear_solve", counted)
+    prob = smooth_problem(1, p=4.0, eps=1e-2)
+    V = FeSpace(uniform_refine(build_box_mesh(1, 2), 1), 1)
+    goal = FinalTimeIntegralGoal()
+    u, stats = newton_solve(prob, V, random_initial_guess(V, seed=0),
+                            lcfg=lcfg, goal=goal)
+    monkeypatch.undo()
+    assert stats.converged and stats.newton_iters >= 3
+    assert factors == [["N"]] * stats.newton_iters + [["T"]]
+    z = stats.adjoint.coeffs
+    z_ref, res = solve_adjoint(V, u, goal, prob, lcfg)
+    assert res.converged
+    if lcfg.kind == "direct":
+        assert np.linalg.norm(z - z_ref.coeffs) \
+            <= 1e-12 * np.linalg.norm(z_ref.coeffs)
+    else:
+        K = assemble_jacobian(V, u, prob)
+        g = goal.gradient(V, u)
+        assert np.linalg.norm(K.T @ z - g) \
+            <= solvers.GMRES_REL_TOL * np.linalg.norm(g)
 
 
 def test_each_factor_is_freed_before_the_next_is_built(monkeypatch):
@@ -342,11 +374,11 @@ def test_each_factor_is_freed_before_the_next_is_built(monkeypatch):
     assert alive == [0] * len(factors)
 
 
-def test_unconverged_enriched_adjoint_fails_the_solve():
+def test_unconverged_enriched_adjoint_fails_the_solve(monkeypatch):
     # the guard holds after the first step, but one GMRES iteration leaves
     # the adjoint at that iterate unconverged
-    capped = LinearSolverConfig(kind="gmres", gmres_max_iter=1,
-                                preconditioner="jacobi")
+    monkeypatch.setattr(solvers, "GMRES_MAX_ITER", 1)
+    capped = LinearSolverConfig(kind="gmres", preconditioner="jacobi")
     _prob, _goal, _u2, stats = enriched_newton(capped, lambda *_: True)
     assert stats.newton_iters == 1 and stats.adjoint is not None
     assert not stats.converged
