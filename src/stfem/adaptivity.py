@@ -127,6 +127,8 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
     the result is converged only if every level's record is.
     """
     cfg = cfg or AdaptiveConfig()
+    if cfg.mode == "dwr" and goal is None:
+        raise ValueError("dwr mode needs a goal functional")
     ncfg = ncfg or NewtonConfig()
     lcfg = lcfg or LinearSolverConfig()
     records = []

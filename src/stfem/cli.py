@@ -5,6 +5,11 @@ of the manufactured smooth solution, goal-oriented adaptivity for the linear
 final-time functional, and for the nonlinear gradient-energy functional over
 an element-aligned region of interest.  Each run emits one CSV row per level
 and prints observed convergence orders and final efficiency indices.
+
+The parser is the one description of a run: ``main(argv)`` or
+``run(build_parser().parse_args(argv))`` runs it.  A flag the run would not
+use is a usage error: ``--goal`` outside ``custom``, ``--mode dwr`` without a
+goal, and ``--initial-cells`` with the region goal, whose mesh is fixed.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,25 +32,11 @@ from .solvers import LinearSolverConfig, NewtonConfig
 FINAL_TIME_GOAL = {1: 2.0 * np.e / np.pi, 2: 4.0 * np.e / np.pi ** 2}
 REGION_GOAL_P4 = {1: 0.011016424135601978, 2: 0.019371265989845886}
 
-
-@dataclass
-class RunConfig:
-    preset: str = "smooth_convergence"
-    dim: int = 1
-    p: float = 4.0
-    epsilon: float = 1e-5
-    degree: int = 1
-    mode: str = None  # None -> preset default
-    theta: float = 0.5
-    max_dofs: int = 20_000
-    max_levels: int = 40
-    initial_cells: int = 2
-    solver: str = "direct"
-    precond: str = "ilu0"
-    goal: str = None  # custom preset only
-    out_csv: str = None
-    out_vtk_dir: str = None
-    seed: int = 0
+# preset -> (goal, default mode); "custom" takes its goal from --goal
+PRESETS = {"smooth_convergence": ("none", "uniform"),
+           "linear_goal": ("final_time", "dwr"),
+           "nonlinear_goal": ("region_energy", "dwr"),
+           "custom": ("final_time", "dwr")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,8 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Goal-oriented adaptive space-time experiments for the "
                     "regularized parabolic p-Laplacian on the unit box.")
     p.add_argument("--preset", default="smooth_convergence",
-                   choices=["smooth_convergence", "linear_goal",
-                            "nonlinear_goal", "custom"])
+                   choices=list(PRESETS))
     p.add_argument("--dim", type=int, default=1, choices=[1, 2],
                    help="spatial dimension d (space-time meshes are d+1)")
     p.add_argument("--p", type=float, default=4.0, dest="p",
@@ -69,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Doerfler marking fraction in (0,1]")
     p.add_argument("--max-dofs", type=int, default=20_000)
     p.add_argument("--max-levels", type=int, default=40)
-    p.add_argument("--initial-cells", type=int, default=2,
-                   help="cells per axis of the initial grid")
+    p.add_argument("--initial-cells", type=int, default=None,
+                   help="cells per axis of the initial box grid (default 2)")
     p.add_argument("--solver", choices=["gmres", "direct"], default="direct")
     p.add_argument("--precond", choices=["jacobi", "ilu0"],
                    default="ilu0",
@@ -87,46 +76,43 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _setup(config: RunConfig):
-    """Problem, goal, initial mesh, and loop configuration for a run."""
-    d = config.dim
-    prob = smooth_problem(d, p=config.p, eps=config.epsilon)
-    preset = config.preset
+def _setup(args: argparse.Namespace):
+    """Problem, goal, initial mesh, and loop configuration for a run.
 
-    if preset == "smooth_convergence":
-        goal_kind = "none"
-        mode = config.mode or "uniform"
-    elif preset == "linear_goal":
-        goal_kind = "final_time"
-        mode = config.mode or "dwr"
-    elif preset == "nonlinear_goal":
-        goal_kind = "region_energy"
-        mode = config.mode or "dwr"
-    else:
-        goal_kind = config.goal or "final_time"
-        mode = config.mode or "dwr"
+    Raises ``ValueError`` for a flag that this run would not use.
+    """
+    d = args.dim
+    prob = smooth_problem(d, p=args.p, eps=args.epsilon)
+    goal_kind, mode = PRESETS[args.preset]
+    if args.goal is not None:
+        if args.preset != "custom":
+            raise ValueError(f"--goal applies to the custom preset only, "
+                             f"not to {args.preset}")
+        goal_kind = args.goal
+    mode = args.mode or ("uniform" if goal_kind == "none" else mode)
+    if mode == "dwr" and goal_kind == "none":
+        raise ValueError("--mode dwr needs a goal functional")
 
-    region = None
     if goal_kind == "region_energy":
+        if args.initial_cells is not None:
+            raise ValueError("--initial-cells does not apply to the region "
+                             "goal, whose initial mesh is fixed")
         mesh, region = build_region_mesh(d)
-        goal = RegionEnergyGoal(region, config.p, mesh)
-        if config.p == 4.0:
+        goal = RegionEnergyGoal(region, args.p, mesh)
+        if args.p == 4.0:
             prob.exact_goal = REGION_GOAL_P4[d]
     else:
-        mesh = build_box_mesh(d, config.initial_cells)
+        cells = 2 if args.initial_cells is None else args.initial_cells
+        mesh = build_box_mesh(d, cells)
+        goal = None
         if goal_kind == "final_time":
             goal = FinalTimeIntegralGoal()
             prob.exact_goal = FINAL_TIME_GOAL[d]
-        else:
-            goal = None
-            mode = "uniform"
 
-    rounds = (d + 1) if (mode == "uniform" and preset == "smooth_convergence") \
-        else 1
-    cfg = AdaptiveConfig(mode=mode, theta=config.theta,
-                         max_dofs=config.max_dofs,
-                         max_levels=config.max_levels, degree=config.degree,
-                         uniform_rounds=rounds, seed=config.seed)
+    rounds = d + 1 if args.preset == "smooth_convergence" else 1
+    cfg = AdaptiveConfig(mode=mode, theta=args.theta, max_dofs=args.max_dofs,
+                         max_levels=args.max_levels, degree=args.degree,
+                         uniform_rounds=rounds, seed=args.seed)
     return prob, goal, mesh, cfg
 
 
@@ -162,28 +148,27 @@ def report_rates(records: list, d: int) -> list[str]:
     return lines
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one experiment; returns the process exit code.
 
     A ``ValueError`` or ``MeshError`` from the set-up (an invalid
     configuration) propagates.  One raised inside the adaptive loop is a
     numerical failure: it is printed and the exit code is 1.
     """
-    prob, goal, mesh, cfg = _setup(config)
+    prob, goal, mesh, cfg = _setup(args)
     ncfg = NewtonConfig()
-    lcfg = LinearSolverConfig(kind=config.solver,
-                              preconditioner=config.precond)
+    lcfg = LinearSolverConfig(kind=args.solver, preconditioner=args.precond)
 
     callback = None
-    if config.out_vtk_dir:
-        os.makedirs(config.out_vtk_dir, exist_ok=True)
+    if args.out_vtk_dir:
+        os.makedirs(args.out_vtk_dir, exist_ok=True)
 
         def callback(level, mesh_l, space, u, rec):
             pd = {"u": u.coeffs[:mesh_l.n_vertices]}
             cd = {}
             if rec.indicators is not None:
                 cd["indicator"] = rec.indicators
-            write_vtk(os.path.join(config.out_vtk_dir, f"level_{level:03d}.vtk"),
+            write_vtk(os.path.join(args.out_vtk_dir, f"level_{level:03d}.vtk"),
                       mesh_l, point_data=pd, cell_data=cd)
 
     try:
@@ -193,17 +178,17 @@ def run(config: RunConfig) -> int:
         return 1
     records = result.records
 
-    footer = [f"preset={config.preset} d={config.dim} p={config.p} "
-              f"eps={config.epsilon} k={config.degree} mode={cfg.mode} "
-              f"theta={cfg.theta} solver={config.solver} seed={config.seed}"]
+    footer = [f"preset={args.preset} d={args.dim} p={args.p} "
+              f"eps={args.epsilon} k={args.degree} mode={cfg.mode} "
+              f"theta={cfg.theta} solver={args.solver} seed={args.seed}"]
     if prob.exact_goal is not None:
         footer.append(f"exact goal value {prob.exact_goal:.17g}")
-    rate_lines = report_rates(records, config.dim) if len(records) >= 3 else []
+    rate_lines = report_rates(records, args.dim) if len(records) >= 3 else []
     footer.extend(rate_lines)
 
-    text = records_to_csv(records, config.out_csv, footer)
-    if config.out_csv:
-        print(f"wrote {config.out_csv}")
+    text = records_to_csv(records, args.out_csv, footer)
+    if args.out_csv:
+        print(f"wrote {args.out_csv}")
     else:
         print(text, end="")
 
@@ -222,9 +207,9 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    config = RunConfig(**vars(build_parser().parse_args(argv)))
+    args = build_parser().parse_args(argv)
     try:
-        return run(config)
+        return run(args)
     except (ValueError, MeshError) as exc:  # invalid configuration
         print(f"error: {exc}", file=sys.stderr)
         return 2

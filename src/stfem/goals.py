@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import BoundaryTag, GoalRegion, SimplicialMesh
+from .mesh import REGION_VOLUME_TOL, BoundaryTag, GoalRegion, SimplicialMesh
 from .quadrature import simplex_rule
 from .spaces import FeFunction, FeSpace, tabulate_shape
 
@@ -102,11 +102,9 @@ class RegionEnergyGoal(Goal):
     inside or outside); this is verified against the exact region volume.
     """
 
-    def __init__(self, region: GoalRegion, p: float, mesh: SimplicialMesh = None,
-                 tol: float = 1e-10):
+    def __init__(self, region: GoalRegion, p: float, mesh: SimplicialMesh = None):
         self.region = region
         self.p = float(p)
-        self.tol = tol
         if mesh is not None:
             self.inside_elements(mesh)
 
@@ -120,7 +118,7 @@ class RegionEnergyGoal(Goal):
         if key not in cache:
             inside = self.region.contains(mesh.barycenters())
             captured = mesh.volumes()[inside].sum()
-            if abs(captured - self.region.volume) > self.tol:
+            if abs(captured - self.region.volume) > REGION_VOLUME_TOL:
                 raise GoalError(
                     f"region {self.region.label} is not element-aligned: "
                     f"captured volume {captured!r} vs exact {self.region.volume!r}")

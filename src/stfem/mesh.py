@@ -25,6 +25,7 @@ from math import factorial
 import numpy as np
 
 GEOM_TOL = 1e-12
+REGION_VOLUME_TOL = 1e-10  # |captured - exact| volume of an aligned region
 
 
 class MeshError(Exception):
@@ -481,7 +482,7 @@ def build_region_mesh(d: int) -> tuple[SimplicialMesh, GoalRegion]:
     out.check_conforming()
     inside = region.contains(out.barycenters())
     captured = out.volumes()[inside].sum()
-    if abs(captured - region.volume) > 1e-10:
+    if abs(captured - region.volume) > REGION_VOLUME_TOL:
         raise MeshError(
             f"goal region not element-aligned: captured volume {captured!r} "
             f"vs exact {region.volume!r}")

@@ -194,11 +194,10 @@ def linear_solve(K: sp.spmatrix, cfg: LinearSolverConfig):
     return solve
 
 
-def random_initial_guess(space: FeSpace, seed: int = 0,
-                         amplitude: float = 0.5) -> FeFunction:
+def random_initial_guess(space: FeSpace, seed: int = 0) -> FeFunction:
     """Deterministic pseudo-random start vector supported on the free dofs."""
     rng = np.random.default_rng(seed)
-    coeffs = amplitude * rng.uniform(-1.0, 1.0, size=space.n_dofs)
+    coeffs = 0.5 * rng.uniform(-1.0, 1.0, size=space.n_dofs)
     coeffs[space.constrained] = 0.0
     return FeFunction(space, coeffs)
 

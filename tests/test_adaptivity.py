@@ -61,6 +61,18 @@ def test_uniform_rounds_below_one_are_rejected(rounds):
         AdaptiveConfig(mode="uniform", uniform_rounds=rounds)
 
 
+def test_dwr_loop_without_a_goal_fails_before_any_solve(monkeypatch):
+    from stfem import adaptivity
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("newton_solve called")
+
+    monkeypatch.setattr(adaptivity, "newton_solve", no_solve)
+    with pytest.raises(ValueError, match="goal"):
+        adaptive_loop(smooth_problem(1), None, build_box_mesh(1, 2),
+                      AdaptiveConfig(mode="dwr"))
+
+
 def test_uniform_loop_records_and_rates():
     # linear problem: clean second-order L2 convergence
     prob = smooth_problem(1, p=2.0, eps=1.0)

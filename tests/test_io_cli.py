@@ -1,8 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from stfem.adaptivity import ConvergenceRecord
-from stfem.cli import RunConfig, build_parser, report_rates, run
+from stfem.cli import (FINAL_TIME_GOAL, PRESETS, REGION_GOAL_P4, _setup,
+                       build_parser, report_rates, run)
+from stfem.goals import FinalTimeIntegralGoal, RegionEnergyGoal
 from stfem.io import records_to_csv, write_vtk
 from stfem.mesh import build_box_mesh, uniform_refine
 
@@ -88,12 +93,6 @@ def test_parser_rejects_unknown_flags():
     assert exc.value.code == 2
 
 
-def test_parser_defaults_match_run_config_defaults():
-    # main builds RunConfig(**vars(args)), so every parsed field must be a
-    # RunConfig field with the same default
-    assert RunConfig(**vars(build_parser().parse_args([]))) == RunConfig()
-
-
 def test_parser_rejects_bad_choice():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["--preset", "bogus"])
@@ -102,9 +101,10 @@ def test_parser_rejects_bad_choice():
 
 def test_run_smooth_convergence_writes_csv(tmp_path):
     out = tmp_path / "conv.csv"
-    code = run(RunConfig(preset="smooth_convergence", dim=1, p=2.0,
-                         epsilon=1.0, max_dofs=800, max_levels=5,
-                         out_csv=str(out)))
+    code = run(build_parser().parse_args(
+        ["--preset", "smooth_convergence", "--dim", "1", "--p", "2",
+         "--epsilon", "1", "--max-dofs", "800", "--max-levels", "5",
+         "--out-csv", str(out)]))
     assert code == 0
     lines = out.read_text().splitlines()
     header = lines[0].split(",")
@@ -117,18 +117,19 @@ def test_run_smooth_convergence_writes_csv(tmp_path):
 
 
 def test_run_linear_goal_deterministic(tmp_path):
-    cfgkw = dict(preset="linear_goal", dim=1, max_dofs=300, max_levels=8,
-                 seed=3)
+    argv = ["--preset", "linear_goal", "--dim", "1", "--max-dofs", "300",
+            "--max-levels", "8", "--seed", "3"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(RunConfig(out_csv=str(a), **cfgkw)) == 0
-    assert run(RunConfig(out_csv=str(b), **cfgkw)) == 0
+    assert run(build_parser().parse_args(argv + ["--out-csv", str(a)])) == 0
+    assert run(build_parser().parse_args(argv + ["--out-csv", str(b)])) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_run_nonlinear_goal_smoke(tmp_path):
     out = tmp_path / "ng.csv"
-    code = run(RunConfig(preset="nonlinear_goal", dim=1, max_dofs=300,
-                         max_levels=6, out_csv=str(out)))
+    code = run(build_parser().parse_args(
+        ["--preset", "nonlinear_goal", "--dim", "1", "--max-dofs", "300",
+         "--max-levels", "6", "--out-csv", str(out)]))
     assert code == 0
     body = [l for l in out.read_text().splitlines()[1:]
             if l and not l.startswith("#")]
@@ -138,8 +139,9 @@ def test_run_nonlinear_goal_smoke(tmp_path):
 
 def test_run_emits_vtk_dumps(tmp_path):
     vtkdir = tmp_path / "vtk"
-    code = run(RunConfig(preset="linear_goal", dim=1, max_dofs=120,
-                         max_levels=3, out_vtk_dir=str(vtkdir)))
+    code = run(build_parser().parse_args(
+        ["--preset", "linear_goal", "--dim", "1", "--max-dofs", "120",
+         "--max-levels", "3", "--out-vtk-dir", str(vtkdir)]))
     assert code == 0
     files = sorted(vtkdir.glob("level_*.vtk"))
     assert len(files) == 3
@@ -152,12 +154,61 @@ def test_main_usage_error_exit_code():
                  "--max-dofs", "50"]) == 2
 
 
-@pytest.mark.parametrize("argv", [["--initial-cells", "0"],
-                                  ["--max-levels", "0"]])
+@pytest.mark.parametrize("argv", [
+    ["--initial-cells", "0"],
+    ["--max-levels", "0"],
+    # flags that the set-up would otherwise drop without a word
+    ["--preset", "linear_goal", "--goal", "region_energy"],
+    ["--preset", "smooth_convergence", "--mode", "dwr"],
+    ["--preset", "custom", "--goal", "none", "--mode", "dwr"],
+    ["--preset", "nonlinear_goal", "--initial-cells", "3"],
+])
 def test_bad_setup_value_is_a_usage_error(argv, capsys):
     from stfem.cli import main
-    assert main(argv) == 2
+    assert main(argv + ["--max-dofs", "50"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+ONE_ROUND = {1: 1, 2: 1}
+BOX = {1: 8, 2: 48}
+FINAL_TIME = (FinalTimeIntegralGoal, "dwr", ONE_ROUND, BOX, FINAL_TIME_GOAL)
+REGION = (RegionEnergyGoal, "dwr", ONE_ROUND, {1: 32, 2: 384}, REGION_GOAL_P4)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("argv, expected", [
+    (["--preset", "smooth_convergence"],
+     (type(None), "uniform", {1: 2, 2: 3}, BOX, {1: None, 2: None})),
+    (["--preset", "linear_goal"], FINAL_TIME),
+    (["--preset", "custom"], FINAL_TIME),
+    (["--preset", "nonlinear_goal"], REGION),
+    (["--preset", "custom", "--goal", "region_energy"], REGION),
+    (["--preset", "custom", "--goal", "none"],
+     (type(None), "uniform", ONE_ROUND, BOX, {1: None, 2: None})),
+])
+def test_setup_at_default_flags(d, argv, expected):
+    goal_cls, mode, rounds, elements, exact = expected
+    prob, goal, mesh, cfg = _setup(build_parser().parse_args(
+        argv + ["--dim", str(d)]))
+    assert type(goal) is goal_cls
+    assert cfg.mode == mode
+    assert cfg.uniform_rounds == rounds[d]
+    assert mesh.n_elements == elements[d]
+    assert prob.exact_goal == exact[d]
+
+
+def test_readme_cli_section_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command-line driver")[1].split("\n## ")[0]
+    actions = {s: a for a in build_parser()._actions for s in a.option_strings}
+    flags = {s for s in actions if s.startswith("--")} - {"--help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == flags
+    listed = re.findall(r"`(--[a-z-]+) \{([^}]*)\}`", section)
+    assert listed
+    for flag, choices in listed:
+        assert set(choices.split(",")) == {str(c) for c in actions[flag].choices}
+    presets = section.split("Presets:")[1].split("\n\n")[0]
+    assert re.findall(r"`(\w+)`", presets) == list(PRESETS)
 
 
 def test_main_loop_mesh_error_is_a_solver_failure(monkeypatch, capsys):
