@@ -141,6 +141,7 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
 
         if u_prev is not None:
             init = transfer(u_prev, space)
+            u_prev = u = z = stats = None  # free the coarse level's space
         else:
             init = random_initial_guess(space, seed=cfg.seed)
         u, stats = newton_solve(prob, space, init, ncfg, lcfg,
@@ -168,6 +169,7 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
             space2 = enrich(space)
             init2 = inject(u, space2) if u2_prev is None \
                 else transfer(u2_prev, space2)
+            u2_prev = u2 = z2 = stats2 = None  # free the coarse P2 space
             bd = None
 
             def guard(u2, r2, z2):

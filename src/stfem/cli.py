@@ -9,7 +9,8 @@ and prints observed convergence orders and final efficiency indices.
 The parser is the one description of a run: ``main(argv)`` or
 ``run(build_parser().parse_args(argv))`` runs it.  A flag the run would not
 use is a usage error: ``--goal`` outside ``custom``, ``--mode dwr`` without a
-goal, and ``--initial-cells`` with the region goal, whose mesh is fixed.
+goal, ``--initial-cells`` with the region goal, whose mesh is fixed,
+``--theta`` outside dwr mode, and ``--precond`` with the direct solver.
 """
 
 from __future__ import annotations
@@ -54,15 +55,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="regularization parameter, > 0")
     p.add_argument("--degree", type=int, default=1, choices=[1, 2])
     p.add_argument("--mode", choices=["uniform", "dwr"], default=None)
-    p.add_argument("--theta", type=float, default=0.5,
-                   help="Doerfler marking fraction in (0,1]")
+    p.add_argument("--theta", type=float, default=None,
+                   help="Doerfler marking fraction in (0,1], dwr mode (0.5)")
     p.add_argument("--max-dofs", type=int, default=20_000)
     p.add_argument("--max-levels", type=int, default=40)
     p.add_argument("--initial-cells", type=int, default=None,
                    help="cells per axis of the initial box grid (default 2)")
     p.add_argument("--solver", choices=["gmres", "direct"], default="direct")
     p.add_argument("--precond", choices=["jacobi", "ilu0"],
-                   default="ilu0",
+                   default=None,
                    help="GMRES preconditioner; ilu0 (the default) is "
                         "SuperLU's threshold incomplete LU with drop "
                         "tolerance 1e-4 (the name is kept for existing "
@@ -92,6 +93,10 @@ def _setup(args: argparse.Namespace):
     mode = args.mode or ("uniform" if goal_kind == "none" else mode)
     if mode == "dwr" and goal_kind == "none":
         raise ValueError("--mode dwr needs a goal functional")
+    if args.theta is not None and mode != "dwr":
+        raise ValueError("--theta applies to dwr mode only")
+    if args.precond is not None and args.solver != "gmres":
+        raise ValueError("--precond applies to --solver gmres only")
 
     if goal_kind == "region_energy":
         if args.initial_cells is not None:
@@ -110,7 +115,8 @@ def _setup(args: argparse.Namespace):
             prob.exact_goal = FINAL_TIME_GOAL[d]
 
     rounds = d + 1 if args.preset == "smooth_convergence" else 1
-    cfg = AdaptiveConfig(mode=mode, theta=args.theta, max_dofs=args.max_dofs,
+    theta = AdaptiveConfig.theta if args.theta is None else args.theta
+    cfg = AdaptiveConfig(mode=mode, theta=theta, max_dofs=args.max_dofs,
                          max_levels=args.max_levels, degree=args.degree,
                          uniform_rounds=rounds, seed=args.seed)
     return prob, goal, mesh, cfg
@@ -157,7 +163,8 @@ def run(args: argparse.Namespace) -> int:
     """
     prob, goal, mesh, cfg = _setup(args)
     ncfg = NewtonConfig()
-    lcfg = LinearSolverConfig(kind=args.solver, preconditioner=args.precond)
+    lcfg = LinearSolverConfig(kind=args.solver, preconditioner=args.precond
+                              or LinearSolverConfig.preconditioner)
 
     callback = None
     if args.out_vtk_dir:

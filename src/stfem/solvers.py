@@ -4,11 +4,13 @@ The nonlinear systems are solved by a damped Newton method whose damping
 parameter is chosen by a residual-based line search (halving, first decrease
 accepted).  ``linear_solve`` factors a matrix once: by a sparse direct LU, or
 by the right preconditioner of full (restart-free) GMRES with a relative
-tolerance of 1e-8, capped at 100 iterations.  The preconditioner is the
-default ``"ilu0"``, SuperLU's threshold incomplete LU with drop tolerance
-1e-4, or Jacobi.  The one factor of a Jacobian K(u) solves the Newton
-correction with K and the adjoint with K^T.  A singular factor, or a
-preconditioner that cannot be built, is reported as an unconverged solve.
+tolerance of 1e-8, capped at 100 iterations.  The LU is ordered by the mesh
+dimension D (COLAMD for D = 2, minimum degree for D >= 3, which cuts the
+fill there).  The preconditioner is the default ``"ilu0"``, SuperLU's
+threshold incomplete LU with drop tolerance 1e-4, or Jacobi.  The one
+factor of a Jacobian K(u) solves the Newton correction with K and the
+adjoint with K^T.  A singular factor, or a preconditioner that cannot be
+built, is reported as an unconverged solve.
 """
 
 from __future__ import annotations
@@ -154,9 +156,11 @@ class Ilu0:
         return self._factor.solve(b, trans)
 
 
-def linear_solve(K: sp.spmatrix, cfg: LinearSolverConfig):
+def linear_solve(K: sp.spmatrix, cfg: LinearSolverConfig, dim: int = 2):
     """Factor K once by the configured method: its sparse LU, or the GMRES
-    preconditioner built from K.
+    preconditioner built from K.  ``dim`` is the mesh dimension D: for
+    D >= 3 the LU is ordered by minimum degree on K^T + K in SuperLU's
+    symmetric mode (diagonal pivot threshold 0.1), for D <= 2 by COLAMD.
 
     Returns ``solve(rhs, trans="N")``, which solves K x = rhs, or
     K^T x = rhs with ``trans="T"``, by that one factor and gives a
@@ -166,7 +170,9 @@ def linear_solve(K: sp.spmatrix, cfg: LinearSolverConfig):
     """
     try:  # apply(v, trans) by the LU of K or the preconditioner built from K
         if cfg.kind == "direct":
-            apply = spla.splu(sp.csc_matrix(K)).solve
+            order = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                         options={"SymmetricMode": True}) if dim >= 3 else {}
+            apply = spla.splu(sp.csc_matrix(K), **order).solve
         elif cfg.preconditioner == "ilu0":
             apply = Ilu0(K).solve
         else:
@@ -236,7 +242,8 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
         last = not rnorm > stats.tol or stats.newton_iters >= ncfg.max_iter
         if last and goal is None:
             break
-        solve = linear_solve(assemble_jacobian(space, state, prob), lcfg)
+        solve = linear_solve(assemble_jacobian(space, state, prob), lcfg,
+                             space.mesh.dim)
         if goal is not None and (last or (stop and stats.newton_iters > 0)):
             zres = solve(goal.gradient(space, u), "T")
             stats.total_inner_iters += zres.iters
@@ -276,6 +283,6 @@ def solve_adjoint(space: FeSpace, u: FeFunction, goal,
     Jacobian at u, by the factor of that Jacobian.  Linear, backward in
     time."""
     solve = linear_solve(assemble_jacobian(space, u, prob),
-                         lcfg or LinearSolverConfig())
+                         lcfg or LinearSolverConfig(), space.mesh.dim)
     res = solve(goal.gradient(space, u), "T")
     return FeFunction(space, res.x), res

@@ -17,7 +17,7 @@ import numpy as np
 from .mesh import SimplicialMesh, box_faces, local_edges
 from .quadrature import simplex_rule
 
-_ERROR_BLOCK = 1024  # elements per block of error_norms
+_ELEMENT_BLOCK = 1024  # elements per block of error_norms and source_values
 
 
 def tabulate_shape(D: int, k: int, points: np.ndarray):
@@ -149,22 +149,26 @@ class FeSpace:
 
         Returns a dict with the tables of ``_reference_tables``, shared by
         every element (the rule, shape values (nq, nloc), reference gradients
-        (nq, nloc, D) and their contraction tables), plus physical points
-        (ne, nq, D) and quadrature scale w*|det| (ne, nq).  No physical
-        shape gradients are stored: forms contract with the reference tables
-        and map each element with ``geometry()``'s inverse Jacobian.
+        (nq, nloc, D) and their contraction tables), plus quadrature scale
+        w*|det| (ne, nq).  Physical points (``points``) and shape gradients
+        are not stored: forms contract with the reference tables and map
+        each element with ``geometry()``'s inverse Jacobian.
         """
         if order not in self._batch_cache:
             tables = _reference_tables(self.mesh.dim, self.degree, order)
-            rule = tables["rule"]
-            jac, _inv_jac_t, absdet = self.geometry()
-            X0 = self.mesh.vertices[self.mesh.elements[:, 0]]
-            phys = X0[:, None, :] + np.einsum(
-                "eij,qj->eqi", jac, rule.points)
-            scale = rule.weights[None, :] * absdet[:, None]
-            self._batch_cache[order] = {**tables, "points": phys,
-                                        "scale": scale}
+            absdet = self.geometry()[2]
+            scale = tables["rule"].weights[None, :] * absdet[:, None]
+            self._batch_cache[order] = {**tables, "scale": scale}
         return self._batch_cache[order]
+
+    def points(self, order: int, elements=slice(None)) -> np.ndarray:
+        """Physical quadrature points x0 + J xi, (ne, nq, D), of every
+        element or of a slice of them, computed on each call.  J xi is
+        summed over j in order, as ``np.einsum`` does, in fewer passes."""
+        jac = self.geometry()[0][elements][:, None]
+        xi = simplex_rule(self.mesh.dim, order).points[:, None, :]
+        return self.mesh.vertices[self.mesh.elements[elements, 0], None] + sum(
+            jac[..., j] * xi[..., j] for j in range(self.mesh.dim))
 
     def csr_pattern(self) -> dict:
         """Sparsity pattern of the assembled matrices, built once per space.
@@ -174,13 +178,19 @@ class FeSpace:
         (row elem_dofs[e, a], column elem_dofs[e, b]); ``indptr`` and
         ``indices`` (sorted within each row) are the pattern; ``fixed`` holds
         the positions in a constrained row or column and ``ident`` the
-        constrained diagonal positions among them.
+        constrained diagonal positions among them.  ``slot`` ranks the keys
+        row*n + col by one argsort and a cumsum of the sorted keys' "new key"
+        mask, with fewer int64 temporaries than ``np.unique``.
         """
         if self._pattern is None:
             n, ed = self.n_dofs, self.elem_dofs.astype(np.int64)
             keys = (ed[:, :, None] * n + ed[:, None, :]).ravel()
-            keys, slot = np.unique(keys, return_inverse=True)
-            rows, cols = np.divmod(keys, n)
+            order = np.argsort(keys)
+            keys.sort()
+            new = np.concatenate(([True], keys[1:] != keys[:-1]))
+            slot = np.empty(len(keys), dtype=np.int32)
+            slot[order] = np.cumsum(new, dtype=np.int32) - 1
+            rows, cols = np.divmod(keys[new], n)
             fixed = np.flatnonzero(self.constrained[rows]
                                    | self.constrained[cols])
             self._pattern = {
@@ -208,14 +218,18 @@ class FeSpace:
         cached on the mesh: each (order, source) pair is evaluated once for
         every space of any degree on it.  The key holds the callable itself
         rather than its id(), so a collected source whose id is reused never
-        matches.
+        matches.  The source is called on the points of ``_ELEMENT_BLOCK``
+        elements at a time, which bounds its temporaries.
         """
         key = (order, source)
         cache = self.mesh._source_cache
         if key not in cache:
-            pts = self.batch(order)["points"]
-            f = np.asarray(source(pts.reshape(-1, pts.shape[-1])))
-            f = f.reshape(pts.shape[:2])
+            ne, D = self.mesh.n_elements, self.mesh.dim
+            f = np.empty((ne, len(simplex_rule(D, order).weights)))
+            for lo in range(0, ne, _ELEMENT_BLOCK):
+                pts = self.points(order, slice(lo, lo + _ELEMENT_BLOCK))
+                f[lo:lo + len(pts)] = np.asarray(
+                    source(pts.reshape(-1, D))).reshape(pts.shape[:2])
             f.flags.writeable = False
             cache[key] = f
         return cache[key]
@@ -348,10 +362,10 @@ def error_norms(u: FeFunction, exact_value,
     b = space.batch(order)
     l2 = h1 = 0.0
     # in blocks of elements, which bounds the exact solution's temporaries
-    for lo in range(0, space.mesh.n_elements, _ERROR_BLOCK):
-        blk = slice(lo, lo + _ERROR_BLOCK)
+    for lo in range(0, space.mesh.n_elements, _ELEMENT_BLOCK):
+        blk = slice(lo, lo + _ELEMENT_BLOCK)
         vals, grads = u.at_quadrature(order, blk)
-        pts = b["points"][blk].reshape(-1, space.mesh.dim)
+        pts = space.points(order, blk).reshape(-1, space.mesh.dim)
         dv = vals - np.asarray(exact_value(pts)).reshape(vals.shape)
         dg = grads[..., :-1] - np.asarray(exact_grad(pts)).reshape(
             grads[..., :-1].shape)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -170,8 +172,8 @@ def test_stalled_enriched_newton_still_gives_an_estimate(monkeypatch):
     from stfem import solvers
     linear_solve = solvers.linear_solve
 
-    def zero_corrections(K, lcfg):
-        solve = linear_solve(K, lcfg)
+    def zero_corrections(K, lcfg, dim):
+        solve = linear_solve(K, lcfg, dim)
 
         def stalled(rhs, trans="N"):
             res = solve(rhs, trans)
@@ -212,8 +214,9 @@ def test_capped_adjoint_gmres_fails_the_run(monkeypatch):
     linear_solve, newton_solve = solvers.linear_solve, adaptivity.newton_solve
     adjoint_ok, primal_ok = [], []
 
-    def capped_adjoints(K, lcfg):
-        correct, adjoint = linear_solve(K, lcfg), linear_solve(K, capped)
+    def capped_adjoints(K, lcfg, dim):
+        correct = linear_solve(K, lcfg, dim)
+        adjoint = linear_solve(K, capped, dim)
 
         def solve(rhs, trans="N"):
             if trans == "N":
@@ -374,3 +377,29 @@ def test_region_goal_loop_d1_converges_on_every_level():
     assert result.converged and recs[-1].dofs >= 600
     assert all(r.converged for r in recs)
     assert all(np.isfinite(r.I_eff_h) for r in recs)
+
+
+@pytest.mark.parametrize("mode", ["dwr", "uniform"])
+def test_loop_frees_the_coarse_level_before_the_next_solve(monkeypatch,
+                                                           mode):
+    # when level k+1's primal (enriched) Newton starts, nothing holds level
+    # k's primal (enriched) space: neither its solution, its adjoint, nor
+    # its solve statistics
+    from stfem import adaptivity
+    newton_solve = adaptivity.newton_solve
+    levels, alive = {1: [], 2: []}, {1: [], 2: []}
+
+    def watching(prob, space, init, *args, **kwargs):
+        k = space.degree
+        alive[k].append([ref() is not None for ref in levels[k]])
+        levels[k].append(weakref.ref(space))
+        return newton_solve(prob, space, init, *args, **kwargs)
+
+    monkeypatch.setattr(adaptivity, "newton_solve", watching)
+    prob = smooth_problem(1, p=4.0, eps=1e-5)
+    cfg = AdaptiveConfig(mode=mode, max_dofs=10_000, max_levels=3)
+    goal = FinalTimeIntegralGoal() if mode == "dwr" else None
+    result = adaptive_loop(prob, goal, build_box_mesh(1, 2), cfg, lcfg=DIRECT)
+    assert len(result.records) == 3
+    freed = [[], [False], [False, False]]
+    assert alive == {1: freed, 2: freed if mode == "dwr" else []}

@@ -72,7 +72,7 @@ def test_residual_vanishes_at_discrete_heat_solution():
     u = FeFunction(V, res.x)
     r = assemble_residual(V, u, prob)
     load = np.zeros(V.n_dofs)
-    pts = V.batch(4)["points"]
+    pts = V.points(4)
     f = prob.source(pts.reshape(-1, 2)).reshape(pts.shape[:2])
     np.add.at(load, V.elem_dofs,
               np.einsum("eq,qa,eq->ea", V.batch(4)["scale"],

@@ -162,6 +162,8 @@ def test_main_usage_error_exit_code():
     ["--preset", "smooth_convergence", "--mode", "dwr"],
     ["--preset", "custom", "--goal", "none", "--mode", "dwr"],
     ["--preset", "nonlinear_goal", "--initial-cells", "3"],
+    ["--preset", "smooth_convergence", "--theta", "0.3"],
+    ["--preset", "linear_goal", "--precond", "jacobi"],
 ])
 def test_bad_setup_value_is_a_usage_error(argv, capsys):
     from stfem.cli import main

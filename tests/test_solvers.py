@@ -280,8 +280,8 @@ def test_no_iterate_solves_a_correction_it_discards(monkeypatch, lcfg):
     factors = []  # (unknowns, [(trans, iters) of each solve with it])
     factor = solvers.linear_solve
 
-    def counted(K, cfg):
-        solve, made = factor(K, cfg), []
+    def counted(K, cfg, dim):
+        solve, made = factor(K, cfg, dim), []
         factors.append((K.shape[0], made))
 
         def counted_solve(rhs, trans="N"):
@@ -310,8 +310,8 @@ def test_primal_newton_solves_its_adjoint_with_the_last_factor(monkeypatch,
     factors = []  # the trans of each solve, per factor
     factor = solvers.linear_solve
 
-    def counted(K, cfg):
-        solve, made = factor(K, cfg), []
+    def counted(K, cfg, dim):
+        solve, made = factor(K, cfg, dim), []
         factors.append(made)
 
         def counted_solve(rhs, trans="N"):
@@ -496,3 +496,32 @@ def test_nested_iteration_reduces_newton_cost():
     _, s_cold = newton_solve(prob, V2, random_initial_guess(V2, seed=0),
                              lcfg=DIRECT)
     assert s_nested.newton_iters < s_cold.newton_iters
+
+
+def test_lu_order_follows_the_dimension(monkeypatch):
+    # minimum degree on A^T + A in symmetric mode for D >= 3, where it cuts
+    # the fill; COLAMD, SuperLU's default, for D = 2
+    splu, orders = solvers.spla.splu, []
+
+    def recording(A, **kwargs):
+        orders.append(kwargs)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(solvers.spla, "splu", recording)
+    for d in (2, 1):  # D = 3, then D = 2: one adjoint, one Newton factor
+        prob = smooth_problem(d, p=4.0, eps=1e-5)
+        V = FeSpace(build_box_mesh(d, 2), 1)
+        u = random_initial_guess(V, seed=0)
+        solve_adjoint(V, u, FinalTimeIntegralGoal(), prob)
+        newton_solve(prob, V, u, NewtonConfig(max_iter=1), DIRECT)
+    V2 = FeSpace(uniform_refine(build_box_mesh(2, 2), 1), 2)  # P2, D = 3
+    K = assemble_jacobian(V2, random_initial_guess(V2, seed=3),
+                          smooth_problem(2, p=4.0, eps=1e-5))
+    b = np.random.default_rng(0).normal(size=K.shape[0])
+    x = linear_solve(K, DIRECT, 3)(b).x
+    monkeypatch.undo()
+    mmd = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
+           "options": {"SymmetricMode": True}}
+    assert orders == [mmd, mmd, {}, {}, mmd]
+    x_colamd = splu(sp.csc_matrix(K)).solve(b)
+    assert np.linalg.norm(x - x_colamd) <= 1e-10 * np.linalg.norm(x_colamd)

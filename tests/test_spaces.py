@@ -1,10 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stfem.mesh import build_box_mesh, refine, uniform_refine
-from stfem.problems import smooth_product_solution
+from stfem import spaces
+from stfem.mesh import (build_box_mesh, build_region_mesh, refine,
+                        uniform_refine)
+from stfem.problems import smooth_problem, smooth_product_solution
 from stfem.spaces import (FeFunction, FeSpace, error_norms, inject,
                           interpolate, transfer, zero_function)
 
@@ -286,3 +289,85 @@ def test_transfer_rejects_a_mesh_that_is_not_its_parent():
     transfer(zero_function(FeSpace(child, 1)), FeSpace(grandchild, 1))
     with pytest.raises(ValueError):
         transfer(zero_function(FeSpace(mesh, 1)), FeSpace(grandchild, 1))
+
+
+# -- what one level holds: points on demand, blocked source, CSR pattern ----
+
+def traced_peak(fn):
+    """Result of fn() and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def blocks_mesh(blocks):
+    """A d=1 mesh of at least ``blocks`` source blocks of elements."""
+    mesh = build_box_mesh(1, 2)
+    while mesh.n_elements <= (blocks - 1) * spaces._ELEMENT_BLOCK:
+        mesh = uniform_refine(mesh, 1)
+    return mesh
+
+
+@pytest.mark.parametrize("mesh", [
+    uniform_refine(build_box_mesh(2, 2), 1), build_region_mesh(2)[0]],
+    ids=["box", "region"])
+def test_points_are_computed_on_demand(mesh):
+    # bitwise equal to the einsum that batch() cached, also on the region
+    # mesh, whose Jacobians are not dyadic
+    V = FeSpace(mesh, 2)
+    order = V.default_order()
+    assert "points" not in V.batch(order)
+    jac = V.geometry()[0]
+    X0 = V.mesh.vertices[V.mesh.elements[:, 0]]
+    pts = X0[:, None, :] + np.einsum(
+        "eij,qj->eqi", jac, V.batch(order)["rule"].points)
+    assert np.array_equal(V.points(order), pts)
+    assert np.array_equal(V.points(order, slice(5, 9)), pts[5:9])
+
+
+def test_source_values_are_evaluated_in_element_blocks():
+    mesh = blocks_mesh(3)
+    V = FeSpace(mesh, 1)
+    order = V.default_order()
+    prob = smooth_problem(1, p=4.0, eps=1e-5)
+    sizes = []
+
+    def source(pts):
+        sizes.append(len(pts))
+        return prob.source(pts)
+
+    f = V.source_values(source, order)
+    nq = len(V.batch(order)["rule"].weights)
+    assert len(sizes) == -(-mesh.n_elements // spaces._ELEMENT_BLOCK) >= 3
+    assert max(sizes) <= spaces._ELEMENT_BLOCK * nq
+    assert sum(sizes) == mesh.n_elements * nq
+    whole = prob.source(V.points(order).reshape(-1, 2))
+    assert np.array_equal(f, whole.reshape(f.shape))
+
+
+def test_source_evaluation_holds_no_whole_mesh_temporaries():
+    V = FeSpace(blocks_mesh(8), 1)
+    prob = smooth_problem(1, p=4.0, eps=1e-5)
+    V.geometry()  # cached per space, as in every assembly
+    f, peak = traced_peak(
+        lambda: V.source_values(lambda x: prob.source(x), 6))
+    assert peak <= 3 * f.nbytes
+
+
+@pytest.mark.parametrize("d, degree", [(1, 1), (2, 2)])
+def test_csr_pattern_matches_the_unique_keys(d, degree):
+    mesh = uniform_refine(build_box_mesh(d, 2), 6 if d == 1 else 2)
+    V = FeSpace(mesh, degree)
+    n, ed = V.n_dofs, V.elem_dofs.astype(np.int64)
+    keys = (ed[:, :, None] * n + ed[:, None, :]).ravel()
+    pattern, peak = traced_peak(V.csr_pattern)
+    unique, slot = np.unique(keys, return_inverse=True)
+    rows, cols = np.divmod(unique, n)
+    assert np.array_equal(pattern["slot"], slot.ravel())
+    assert np.array_equal(pattern["indices"], cols)
+    assert np.array_equal(pattern["indptr"],
+                          np.searchsorted(rows, np.arange(n + 1)))
+    assert peak <= 5 * keys.nbytes
