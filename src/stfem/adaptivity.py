@@ -47,8 +47,10 @@ class AdaptiveConfig:
             raise ValueError(f"unknown adaptive mode {self.mode!r}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("Doerfler fraction must be in (0, 1]")
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be at least 1")
+        if self.max_levels < 1 or self.max_dofs < 1:
+            raise ValueError("max_levels and max_dofs must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.uniform_rounds < 1:
             raise ValueError("uniform_rounds must be at least 1")
         if self.mode == "dwr" and self.degree != 1:

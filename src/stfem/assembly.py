@@ -145,7 +145,7 @@ def _scatter_matrix(space: FeSpace, k_loc: np.ndarray) -> sp.csr_matrix:
     Constrained rows and columns become identity after the one summation of
     duplicates, so the kept entries are the plain sums; entries that are
     then zero are dropped."""
-    pat = space.csr_pattern()
+    pat = space.csr_pattern
     data = np.bincount(pat["slot"], weights=k_loc.ravel(),
                        minlength=len(pat["indices"]))
     data[pat["fixed"]] = 0.0
@@ -158,7 +158,7 @@ def _scatter_matrix(space: FeSpace, k_loc: np.ndarray) -> sp.csr_matrix:
 
 def _time_matrices(space: FeSpace, b: dict) -> np.ndarray:
     """Element matrices of int_e (dw/dt) v, shape (n_elements, n_local, n_local)."""
-    _jac, inv_jac_t, absdet = space.geometry()
+    _jac, inv_jac_t, absdet = space.mesh.geometry
     nloc = b["values"].shape[1]
     return ((absdet[:, None] * inv_jac_t[:, -1]) @ b["time_table"]).reshape(
         -1, nloc, nloc)
@@ -169,8 +169,7 @@ def assemble_jacobian(space: FeSpace, u,
     """Newton Jacobian: time matrix plus linearized diffusion at u."""
     st = quadrature_state(space, u, prob)
     b = space.batch(st.qorder)
-    _jac, inv_jac_t, _det = space.geometry()
-    js = inv_jac_t[:, :st.gx.shape[-1], :]  # (ne, d, D)
+    js = space.mesh.geometry[1][:, :st.gx.shape[-1], :]  # (ne, d, D)
     # J_x^T (w flux') J_x per point in rank-one form, with h = J_x^T gx:
     # w a J_x^T J_x + w (p-2) (a/s) h h^T, laid out (ne, pair, nq) over the
     # upper-triangle pairs of the stiffness table, then one GEMM against it

@@ -97,6 +97,9 @@ def _setup(args: argparse.Namespace):
         raise ValueError("--theta applies to dwr mode only")
     if args.precond is not None and args.solver != "gmres":
         raise ValueError("--precond applies to --solver gmres only")
+    csv_dir = os.path.dirname(args.out_csv or "") or "."
+    if not os.path.isdir(csv_dir):
+        raise ValueError(f"--out-csv: no directory {csv_dir}")
 
     if goal_kind == "region_energy":
         if args.initial_cells is not None:

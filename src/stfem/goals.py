@@ -14,6 +14,8 @@ over a region of interest inside the space-time cylinder.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .mesh import REGION_VOLUME_TOL, BoundaryTag, GoalRegion, SimplicialMesh
@@ -56,8 +58,12 @@ class FinalTimeIntegralGoal(Goal):
     """J(u) = integral of u(., T) over the spatial domain.
 
     Evaluated by quadrature over the top-face facets of the space-time mesh;
-    linear, so the element vectors are state independent.
+    linear, so the element vectors are state independent and kept per space,
+    held weakly and keyed by the space itself, not by a reusable id().
     """
+
+    def __init__(self):
+        self._tables = weakref.WeakKeyDictionary()
 
     def value(self, space: FeSpace, u: FeFunction) -> float:
         return float(np.sum(self.element_vectors(space, u)
@@ -66,14 +72,11 @@ class FinalTimeIntegralGoal(Goal):
     def element_vectors(self, space: FeSpace, u: FeFunction) -> np.ndarray:
         """Read-only facet integrals of each element's shape functions over
         its top-face facets, zero for elements off the top face."""
-        # cached on the space itself; caching by id() would go stale when a
-        # collected space's id is reused by a later level
-        table = getattr(space, "_final_time_table", None)
-        if table is not None:
-            return table
+        if space in self._tables:
+            return self._tables[space]
         mesh = space.mesh
         D = mesh.dim
-        facets, owners, tags = mesh.boundary_facets()
+        facets, owners, tags = mesh.boundary_facets
         top = tags == BoundaryTag.TOP
         if not top.any():
             raise GoalError("mesh has no top-face facets")
@@ -83,15 +86,14 @@ class FinalTimeIntegralGoal(Goal):
         scale = np.sqrt(np.abs(np.linalg.det(E @ np.swapaxes(E, 1, 2))))
         rule = simplex_rule(D - 1, FACET_ORDER)
         phys = F[:, :1] + rule.points @ E  # (n_top, nq, D)
-        _jac, inv_jac_t, _det = space.geometry()
         x0 = mesh.vertices[mesh.elements[elems, 0]]
-        ref = (phys - x0[:, None]) @ inv_jac_t[elems]
+        ref = (phys - x0[:, None]) @ mesh.geometry[1][elems]
         vals, _ = tabulate_shape(D, space.degree, ref.reshape(-1, D))
         vals = vals.reshape(len(elems), len(rule.weights), -1)
         table = np.zeros((mesh.n_elements, space.n_local))
         np.add.at(table, elems, scale[:, None] * (rule.weights @ vals))
         table.flags.writeable = False
-        space._final_time_table = table
+        self._tables[space] = table
         return table
 
 
@@ -100,30 +102,28 @@ class RegionEnergyGoal(Goal):
 
     The region boundary must be resolved by the mesh (every element entirely
     inside or outside); this is verified against the exact region volume.
+    The inside mask is held weakly per mesh by the goal, whose region it is.
     """
 
     def __init__(self, region: GoalRegion, p: float, mesh: SimplicialMesh = None):
         self.region = region
         self.p = float(p)
+        self._inside = weakref.WeakKeyDictionary()
         if mesh is not None:
             self.inside_elements(mesh)
 
     def inside_elements(self, mesh: SimplicialMesh) -> np.ndarray:
         """Boolean mask of elements inside the region; rejects unresolved
         boundaries by comparing the captured volume with the exact one."""
-        cache = getattr(mesh, "_region_inside_cache", None)
-        if cache is None:
-            cache = mesh._region_inside_cache = {}
-        key = self.region  # not its label, which omits the centre
-        if key not in cache:
+        if mesh not in self._inside:
             inside = self.region.contains(mesh.barycenters())
             captured = mesh.volumes()[inside].sum()
             if abs(captured - self.region.volume) > REGION_VOLUME_TOL:
                 raise GoalError(
                     f"region {self.region.label} is not element-aligned: "
                     f"captured volume {captured!r} vs exact {self.region.volume!r}")
-            cache[key] = inside
-        return cache[key]
+            self._inside[mesh] = inside
+        return self._inside[mesh]
 
     def _grad_x(self, space: FeSpace, u: FeFunction):
         """Quadrature order, spatial gradient of u at its points (ne, nq, d),

@@ -12,11 +12,14 @@ refinement needs; no vertex genealogy is kept.
 Boundary conditions only need to know which face of the box a point lies on:
 :func:`box_faces` reads that from coordinates.  The boundary facets of a mesh
 and their tags (bottom t=0, top t=1, lateral) form one array table,
-:meth:`SimplicialMesh.boundary_facets`, built once per mesh.
+:attr:`SimplicialMesh.boundary_facets`.  Like every table that depends on
+the mesh alone (edges, affine maps, source values at quadrature points), it
+is built once per mesh and shared by the spaces of both degrees on it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 from enum import IntEnum
@@ -24,8 +27,11 @@ from math import factorial
 
 import numpy as np
 
+from .quadrature import simplex_rule
+
 GEOM_TOL = 1e-12
 REGION_VOLUME_TOL = 1e-10  # |captured - exact| volume of an aligned region
+_ELEMENT_BLOCK = 1024  # elements per block of source_values and error_norms
 
 
 class MeshError(Exception):
@@ -91,9 +97,7 @@ class SimplicialMesh:
         self.generation = np.asarray(generation, dtype=np.int64)
         self.parent_leaf = parent_leaf
         self.parent_mesh = None
-        self._boundary = None
-        self._edge_table = None
-        self._source_cache = {}  # filled by FeSpace.source_values
+        self._source_cache = {}
 
     # -- basic queries ---------------------------------------------------
 
@@ -149,21 +153,21 @@ class SimplicialMesh:
 
     # -- topology --------------------------------------------------------
 
+    @functools.cached_property
     def edge_table(self):
         """Edges as sorted vertex pairs in lexicographic order, (n_edges, 2),
         and each element's edge ids, (n_elements, D(D+1)/2), in local-edge
         order ``local_edges(D)``."""
-        if self._edge_table is None:
-            a, b = np.array(local_edges(self.dim)).T
-            ends = np.sort(np.stack([self.elements[:, a], self.elements[:, b]],
-                                    axis=-1), axis=-1)
-            pairs, ids = np.unique(ends.reshape(-1, 2), axis=0,
-                                   return_inverse=True)
-            self._edge_table = (pairs, ids.reshape(self.n_elements, -1))
-        return self._edge_table
+        a, b = np.array(local_edges(self.dim)).T
+        ends = np.sort(np.stack([self.elements[:, a], self.elements[:, b]],
+                                axis=-1), axis=-1)
+        pairs, ids = np.unique(ends.reshape(-1, 2), axis=0,
+                               return_inverse=True)
+        return pairs, ids.reshape(self.n_elements, -1)
 
+    @functools.cached_property
     def boundary_facets(self):
-        """Boundary facet table ``(facets, owners, tags)``, built once.
+        """Boundary facet table ``(facets, owners, tags)``.
 
         ``facets`` (n_b, D) holds sorted vertex ids, ``owners`` (n_b,) the
         owning element and ``tags`` (n_b,) the :class:`BoundaryTag`, in order
@@ -171,31 +175,70 @@ class SimplicialMesh:
         MeshError for a facet shared by more than two elements and for a
         single-owner facet off the box faces, i.e. a hanging node.
         """
-        if self._boundary is None:
-            D = self.dim
-            local = np.sort(np.stack(
-                [np.delete(self.elements, loc, axis=1) for loc in range(D + 1)],
-                axis=1), axis=2).reshape(-1, D)  # row e*(D+1) + loc
-            key = np.ravel_multi_index(local.T, (self.n_vertices,) * D)
-            _, first, counts = np.unique(key, return_index=True,
-                                         return_counts=True)
-            if np.any(counts > 2):
-                i = counts.argmax()
-                raise MeshError(f"facet {local[first[i]].tolist()} shared by "
-                                f"{counts[i]} elements")
-            rows = np.sort(first[counts == 1])
-            facets = local[rows]
-            bottom, top, lateral = box_faces(self.vertices[facets])
-            off = ~(bottom | top | lateral)
-            if off.any():
-                raise MeshError(f"hanging facet {facets[off][0].tolist()} "
-                                "(single owner, off the box boundary)")
-            tags = np.where(bottom, BoundaryTag.BOTTOM, np.where(
-                top, BoundaryTag.TOP, BoundaryTag.LATERAL))
-            self._boundary = (facets, rows // (D + 1), tags)
-            for table in self._boundary:
-                table.flags.writeable = False
-        return self._boundary
+        D = self.dim
+        local = np.sort(np.stack(
+            [np.delete(self.elements, loc, axis=1) for loc in range(D + 1)],
+            axis=1), axis=2).reshape(-1, D)  # row e*(D+1) + loc
+        key = np.ravel_multi_index(local.T, (self.n_vertices,) * D)
+        _, first, counts = np.unique(key, return_index=True,
+                                     return_counts=True)
+        if np.any(counts > 2):
+            i = counts.argmax()
+            raise MeshError(f"facet {local[first[i]].tolist()} shared by "
+                            f"{counts[i]} elements")
+        rows = np.sort(first[counts == 1])
+        facets = local[rows]
+        bottom, top, lateral = box_faces(self.vertices[facets])
+        off = ~(bottom | top | lateral)
+        if off.any():
+            raise MeshError(f"hanging facet {facets[off][0].tolist()} "
+                            "(single owner, off the box boundary)")
+        tags = np.where(bottom, BoundaryTag.BOTTOM, np.where(
+            top, BoundaryTag.TOP, BoundaryTag.LATERAL))
+        table = (facets, rows // (D + 1), tags)
+        for arr in table:
+            arr.flags.writeable = False
+        return table
+
+    # -- affine maps and quadrature points ---------------------------------
+
+    @functools.cached_property
+    def geometry(self):
+        """Per-element affine maps (jac, inv_jac_T, absdet), once per mesh."""
+        X = self.element_coords()
+        jac = np.swapaxes(X[:, 1:, :] - X[:, :1, :], 1, 2)  # columns x_i - x_0
+        inv_jac_t = np.swapaxes(np.linalg.inv(jac), 1, 2)
+        return jac, inv_jac_t, np.abs(np.linalg.det(jac))
+
+    def points(self, order: int, elements=slice(None)) -> np.ndarray:
+        """Physical quadrature points x0 + J xi, (ne, nq, D), of every
+        element or of a slice of them, computed on each call.  J xi is
+        summed over j in order, as ``np.einsum`` does, in fewer passes."""
+        jac = self.geometry[0][elements][:, None]
+        xi = simplex_rule(self.dim, order).points[:, None, :]
+        return self.vertices[self.elements[elements, 0], None] + sum(
+            jac[..., j] * xi[..., j] for j in range(self.dim))
+
+    def source_values(self, source, order: int) -> np.ndarray:
+        """Read-only values of a callable at the quadrature points, (ne, nq).
+
+        Each (order, source) pair is evaluated once per mesh, for every
+        space of any degree on it.  The key holds the callable itself rather
+        than its id(), so a collected source whose id is reused never
+        matches.  The source is called on the points of ``_ELEMENT_BLOCK``
+        elements at a time, which bounds its temporaries.
+        """
+        key = (order, source)
+        if key not in self._source_cache:
+            ne, D = self.n_elements, self.dim
+            f = np.empty((ne, len(simplex_rule(D, order).weights)))
+            for lo in range(0, ne, _ELEMENT_BLOCK):
+                pts = self.points(order, slice(lo, lo + _ELEMENT_BLOCK))
+                f[lo:lo + len(pts)] = np.asarray(
+                    source(pts.reshape(-1, D))).reshape(pts.shape[:2])
+            f.flags.writeable = False
+            self._source_cache[key] = f
+        return self._source_cache[key]
 
     # -- quality and validity ---------------------------------------------
 
@@ -207,7 +250,7 @@ class SimplicialMesh:
         neighbor was refined without matching, i.e. a hanging node exists),
         and the element volumes must sum to one.
         """
-        self.boundary_facets()
+        self.boundary_facets
         vol = self.volumes().sum()
         if abs(vol - 1.0) > 1e-12 * max(1.0, vol):
             raise MeshError(f"element volumes sum to {vol!r}, expected 1")

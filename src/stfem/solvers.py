@@ -79,7 +79,8 @@ class SolveStats:
     adjoint: FeFunction | None = None  # z at the returned u, given a goal
 
 
-def gmres(matvec, b: np.ndarray, rel_tol: float = 1e-8, max_iter: int = 100,
+def gmres(matvec, b: np.ndarray, rel_tol: float = GMRES_REL_TOL,
+          max_iter: int = GMRES_MAX_ITER,
           right_prec=None) -> LinearSolveResult:
     """Full GMRES without restarts, started from zero.
 

@@ -4,7 +4,9 @@ Degrees 1 and 2 are supported.  Functions in the trial space vanish on the
 lateral boundary and the bottom (initial-time) face of the space-time box;
 dofs on the top face are free.  The Dirichlet mask is read from the dof
 coordinates by :func:`stfem.mesh.box_faces`: on the unit box a P2 edge
-midpoint lies on a face exactly when both end points do.
+midpoint lies on a face exactly when both end points do.  A space holds only
+what depends on its degree; the affine maps, quadrature points and source
+values are the mesh's, shared by both degrees.
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SimplicialMesh, box_faces, local_edges
+from .mesh import _ELEMENT_BLOCK, SimplicialMesh, box_faces, local_edges
 from .quadrature import simplex_rule
-
-_ELEMENT_BLOCK = 1024  # elements per block of error_norms and source_values
 
 
 def tabulate_shape(D: int, k: int, points: np.ndarray):
@@ -110,39 +110,23 @@ class FeSpace:
             self.elem_dofs = mesh.elements.copy()
             self.dof_coords = mesh.vertices.copy()
         else:
-            edge_pairs, elem_edges = mesh.edge_table()
+            edge_pairs, elem_edges = mesh.edge_table
             nv = mesh.n_vertices
             self.n_dofs = nv + len(edge_pairs)
             self.elem_dofs = np.hstack([mesh.elements, nv + elem_edges])
             mids = 0.5 * (mesh.vertices[edge_pairs[:, 0]]
                           + mesh.vertices[edge_pairs[:, 1]])
             self.dof_coords = np.vstack([mesh.vertices, mids])
-            self._edge_pairs = edge_pairs
 
-        mesh.boundary_facets()  # raises MeshError for a hanging facet
+        mesh.boundary_facets  # raises MeshError for a hanging facet
         bottom, _top, lateral = box_faces(self.dof_coords[:, None, :])
         self.constrained = bottom | lateral
-        self.free = ~self.constrained
-        self._geom = None
         self._batch_cache = {}
         self._load_cache = {}
-        self._pattern = None
 
     @property
     def n_local(self) -> int:
         return self.elem_dofs.shape[1]
-
-    # -- geometry ----------------------------------------------------------
-
-    def geometry(self):
-        """Per-element affine maps: (jac, inv_jac_T, absdet)."""
-        if self._geom is None:
-            X = self.mesh.element_coords()
-            jac = np.swapaxes(X[:, 1:, :] - X[:, :1, :], 1, 2)  # columns x_i - x_0
-            inv_jac_t = np.swapaxes(np.linalg.inv(jac), 1, 2)
-            absdet = np.abs(np.linalg.det(jac))
-            self._geom = (jac, inv_jac_t, absdet)
-        return self._geom
 
     def batch(self, order: int):
         """Tabulated data at a quadrature rule of the given order.
@@ -150,26 +134,18 @@ class FeSpace:
         Returns a dict with the tables of ``_reference_tables``, shared by
         every element (the rule, shape values (nq, nloc), reference gradients
         (nq, nloc, D) and their contraction tables), plus quadrature scale
-        w*|det| (ne, nq).  Physical points (``points``) and shape gradients
-        are not stored: forms contract with the reference tables and map
-        each element with ``geometry()``'s inverse Jacobian.
+        w*|det| (ne, nq).  Physical points (``SimplicialMesh.points``) and
+        shape gradients are not stored: forms contract with the reference
+        tables and map each element with the mesh's inverse Jacobian.
         """
         if order not in self._batch_cache:
             tables = _reference_tables(self.mesh.dim, self.degree, order)
-            absdet = self.geometry()[2]
+            absdet = self.mesh.geometry[2]
             scale = tables["rule"].weights[None, :] * absdet[:, None]
             self._batch_cache[order] = {**tables, "scale": scale}
         return self._batch_cache[order]
 
-    def points(self, order: int, elements=slice(None)) -> np.ndarray:
-        """Physical quadrature points x0 + J xi, (ne, nq, D), of every
-        element or of a slice of them, computed on each call.  J xi is
-        summed over j in order, as ``np.einsum`` does, in fewer passes."""
-        jac = self.geometry()[0][elements][:, None]
-        xi = simplex_rule(self.mesh.dim, order).points[:, None, :]
-        return self.mesh.vertices[self.mesh.elements[elements, 0], None] + sum(
-            jac[..., j] * xi[..., j] for j in range(self.mesh.dim))
-
+    @functools.cached_property
     def csr_pattern(self) -> dict:
         """Sparsity pattern of the assembled matrices, built once per space.
 
@@ -182,57 +158,31 @@ class FeSpace:
         row*n + col by one argsort and a cumsum of the sorted keys' "new key"
         mask, with fewer int64 temporaries than ``np.unique``.
         """
-        if self._pattern is None:
-            n, ed = self.n_dofs, self.elem_dofs.astype(np.int64)
-            keys = (ed[:, :, None] * n + ed[:, None, :]).ravel()
-            order = np.argsort(keys)
-            keys.sort()
-            new = np.concatenate(([True], keys[1:] != keys[:-1]))
-            slot = np.empty(len(keys), dtype=np.int32)
-            slot[order] = np.cumsum(new, dtype=np.int32) - 1
-            rows, cols = np.divmod(keys[new], n)
-            fixed = np.flatnonzero(self.constrained[rows]
-                                   | self.constrained[cols])
-            self._pattern = {
-                "slot": slot, "indices": cols,
-                "indptr": np.searchsorted(rows, np.arange(n + 1)),
-                "fixed": fixed, "ident": fixed[rows[fixed] == cols[fixed]]}
-            for key, arr in self._pattern.items():
-                self._pattern[key] = arr = arr.astype(np.int32)
-                arr.flags.writeable = False
-        return self._pattern
+        n, ed = self.n_dofs, self.elem_dofs.astype(np.int64)
+        keys = (ed[:, :, None] * n + ed[:, None, :]).ravel()
+        order = np.argsort(keys)
+        keys.sort()
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))
+        slot = np.empty(len(keys), dtype=np.int32)
+        slot[order] = np.cumsum(new, dtype=np.int32) - 1
+        rows, cols = np.divmod(keys[new], n)
+        fixed = np.flatnonzero(self.constrained[rows] | self.constrained[cols])
+        pattern = {"slot": slot, "indices": cols,
+                   "indptr": np.searchsorted(rows, np.arange(n + 1)),
+                   "fixed": fixed, "ident": fixed[rows[fixed] == cols[fixed]]}
+        for key, arr in pattern.items():
+            pattern[key] = arr = arr.astype(np.int32)
+            arr.flags.writeable = False
+        return pattern
 
     def integrate_grad_x(self, order: int, q: np.ndarray) -> np.ndarray:
         """Per-element quadrature of q . grad_x phi_a, (ne, nloc), for a
         spatial field q (ne, nq, d): q is pulled back to the reference
         element, w*|det| q J_x^-T, then contracted with R in one GEMM."""
         b = self.batch(order)
-        _jac, inv_jac_t, _det = self.geometry()
+        inv_jac_t = self.mesh.geometry[1]
         v = (b["scale"][..., None] * q) @ inv_jac_t[:, :q.shape[-1], :]
         return v.reshape(len(v), -1) @ b["test_table"]
-
-    def source_values(self, source, order: int) -> np.ndarray:
-        """Read-only values of a callable at the quadrature points, (ne, nq).
-
-        The points depend only on the mesh and the rule, so the values are
-        cached on the mesh: each (order, source) pair is evaluated once for
-        every space of any degree on it.  The key holds the callable itself
-        rather than its id(), so a collected source whose id is reused never
-        matches.  The source is called on the points of ``_ELEMENT_BLOCK``
-        elements at a time, which bounds its temporaries.
-        """
-        key = (order, source)
-        cache = self.mesh._source_cache
-        if key not in cache:
-            ne, D = self.mesh.n_elements, self.mesh.dim
-            f = np.empty((ne, len(simplex_rule(D, order).weights)))
-            for lo in range(0, ne, _ELEMENT_BLOCK):
-                pts = self.points(order, slice(lo, lo + _ELEMENT_BLOCK))
-                f[lo:lo + len(pts)] = np.asarray(
-                    source(pts.reshape(-1, D))).reshape(pts.shape[:2])
-            f.flags.writeable = False
-            cache[key] = f
-        return cache[key]
 
     def load_vectors(self, source, order: int) -> np.ndarray:
         """Read-only element load vectors int_e f phi_a, (ne, nloc), built
@@ -240,7 +190,8 @@ class FeSpace:
         key = (order, source)
         if key not in self._load_cache:
             b = self.batch(order)
-            v = (b["scale"] * self.source_values(source, order)) @ b["values"]
+            f = self.mesh.source_values(source, order)
+            v = (b["scale"] * f) @ b["values"]
             v.flags.writeable = False
             self._load_cache[key] = v
         return self._load_cache[key]
@@ -277,11 +228,9 @@ class FeFunction:
         D = self.space.mesh.dim
         vals, ref_grads = tabulate_shape(D, self.space.degree,
                                          np.atleast_2d(ref_point))
-        _jac, inv_jac_t, _det = self.space.geometry()
-        dofs = self.space.elem_dofs[element]
-        u = self.coeffs[dofs]
+        u = self.coeffs[self.space.elem_dofs[element]]
         value = float(vals[0] @ u)
-        grad = inv_jac_t[element] @ (ref_grads[0].T @ u)
+        grad = self.space.mesh.geometry[1][element] @ (ref_grads[0].T @ u)
         return value, grad[:-1], float(grad[-1])
 
     def at_quadrature(self, order: int, elements=slice(None)):
@@ -289,11 +238,10 @@ class FeFunction:
         of every element, or of a slice of the elements."""
         space = self.space
         b = space.batch(order)
-        _jac, inv_jac_t, _det = space.geometry()
         u = self.coeffs[space.elem_dofs[elements]]
         vals = u @ b["values"].T
         ref = (u @ b["grad_table"]).reshape(len(u), -1, space.mesh.dim)
-        return vals, ref @ np.swapaxes(inv_jac_t[elements], 1, 2)
+        return vals, ref @ np.swapaxes(space.mesh.geometry[1][elements], 1, 2)
 
 
 def zero_function(space: FeSpace) -> FeFunction:
@@ -317,7 +265,7 @@ def inject(u: FeFunction, fine: FeSpace) -> FeFunction:
     coeffs = np.empty(fine.n_dofs)
     nv = coarse.mesh.n_vertices
     coeffs[:nv] = u.coeffs
-    pairs = fine._edge_pairs
+    pairs = fine.mesh.edge_table[0]
     coeffs[nv:] = 0.5 * (u.coeffs[pairs[:, 0]] + u.coeffs[pairs[:, 1]])
     return FeFunction(fine, coeffs)
 
@@ -337,7 +285,7 @@ def transfer(u: FeFunction, fine_space: FeSpace) -> FeFunction:
     if fine.parent_leaf is None or parent is not coarse.mesh:
         raise ValueError("fine mesh is not a recorded refinement of the "
                          "coarse function's mesh")
-    _jc, inv_jac_t_c, _dc = coarse.geometry()
+    inv_jac_t_c = coarse.mesh.geometry[1]
     owner = np.empty(fine_space.n_dofs, dtype=np.int64)
     owner[fine_space.elem_dofs.ravel()] = np.arange(fine_space.elem_dofs.size)
     anc = fine.parent_leaf[owner // fine_space.n_local]
@@ -365,7 +313,7 @@ def error_norms(u: FeFunction, exact_value,
     for lo in range(0, space.mesh.n_elements, _ELEMENT_BLOCK):
         blk = slice(lo, lo + _ELEMENT_BLOCK)
         vals, grads = u.at_quadrature(order, blk)
-        pts = space.points(order, blk).reshape(-1, space.mesh.dim)
+        pts = space.mesh.points(order, blk).reshape(-1, space.mesh.dim)
         dv = vals - np.asarray(exact_value(pts)).reshape(vals.shape)
         dg = grads[..., :-1] - np.asarray(exact_grad(pts)).reshape(
             grads[..., :-1].shape)

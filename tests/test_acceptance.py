@@ -48,7 +48,7 @@ def element_l2_errors_sq(space, u, exact_value):
     order = 2 * space.degree + 4
     b = space.batch(order)
     vals, _ = u.at_quadrature(order)
-    pts = space.points(order)
+    pts = space.mesh.points(order)
     ev = np.asarray(exact_value(pts.reshape(-1, pts.shape[-1])))
     return np.sum(b["scale"] * (vals - ev.reshape(vals.shape)) ** 2, axis=1)
 
@@ -59,7 +59,7 @@ def final_time_l2_error(space, u, exact_value):
     mesh = space.mesh
     D = mesh.dim
     rule = simplex_rule(D - 1, 2 * space.degree + 4)
-    _jac, inv_jac_t, _det = space.geometry()
+    _jac, inv_jac_t, _det = space.mesh.geometry
     err_sq = 0.0
     # top facets from the element-local facets, not the mesh's boundary table
     top_facets = [(sorted(verts[:i] + verts[i + 1:]), elem)

@@ -72,7 +72,7 @@ def test_residual_vanishes_at_discrete_heat_solution():
     u = FeFunction(V, res.x)
     r = assemble_residual(V, u, prob)
     load = np.zeros(V.n_dofs)
-    pts = V.points(4)
+    pts = V.mesh.points(4)
     f = prob.source(pts.reshape(-1, 2)).reshape(pts.shape[:2])
     np.add.at(load, V.elem_dofs,
               np.einsum("eq,qa,eq->ea", V.batch(4)["scale"],
@@ -212,7 +212,7 @@ def test_manufactured_source_matches_divergence_oracle():
 def physical_gradients(V, order):
     """Reference: per-element physical shape gradients (ne, nq, nloc, D),
     built from the affine maps and the reference gradients."""
-    _jac, inv_jac_t, _det = V.geometry()
+    _jac, inv_jac_t, _det = V.mesh.geometry
     return np.einsum("eij,qaj->eqai", inv_jac_t, V.batch(order)["ref_grads"])
 
 
@@ -259,7 +259,7 @@ def test_residual_matches_physical_gradient_einsum(d, degree):
     b = V.batch(order)
     gphi = physical_gradients(V, order)
     grads = np.einsum("eqai,ea->eqi", gphi, u.coeffs[V.elem_dofs])
-    f = V.source_values(prob.source, order)
+    f = V.mesh.source_values(prob.source, order)
     ref = np.einsum("eq,qa,eq->ea", b["scale"], b["values"],
                     grads[..., -1] - f)
     ref += np.einsum("eq,eqi,eqai->ea", b["scale"],
@@ -279,7 +279,7 @@ def test_form_values_match_physical_gradient_einsum(d, degree):
                   for x in (u, w, z))
     wv, zv = (x.coeffs[V.elem_dofs] @ b["values"].T for x in (w, z))
     s = b["scale"]
-    f = V.source_values(prob.source, order)
+    f = V.mesh.source_values(prob.source, order)
     A = flux_jacobian(ug[..., :-1], prob.p, prob.eps)
     ref_j = np.einsum("eq,eq,eq->e", s, wg[..., -1], zv)
     ref_j += np.einsum("eq,eqij,eqj,eqi->e", s, A, wg[..., :-1], zg[..., :-1])
@@ -313,14 +313,14 @@ def test_dirichlet_scatter_matches_masked_product(d, degree, monkeypatch):
     prob = smooth_problem(d, p=4.0, eps=1e-2)
     V = case_space(d, degree)
     u = random_state(V, seed=16)
-    m = V.free.astype(float)
+    m = (~V.constrained).astype(float)
     k_locs = []
     scatter = assembly._scatter_matrix
     monkeypatch.setattr(assembly, "_scatter_matrix",
                         lambda V_, k_loc: k_locs.append(k_loc)
                         or scatter(V_, k_loc))
     for got in (assemble_jacobian(V, u, prob), assemble_time_matrix(V)):
-        pat = V.csr_pattern()
+        pat = V.csr_pattern
         raw = sp.csr_matrix(
             (np.bincount(pat["slot"], weights=k_locs.pop(0).ravel(),
                          minlength=len(pat["indices"])),
@@ -373,7 +373,7 @@ def test_source_evaluated_once_per_mesh_and_order(degree):
         residual_form_element_values(V, u, w, prob)
         assemble_jacobian(V, u, prob)
         V.load_vectors(prob.source, 8)
-        V.source_values(prob.source, 8)
+        V.mesh.source_values(prob.source, 8)
     nq = [len(simplex_rule(2, o).weights) for o in (V.default_order(), 8)]
     assert calls == [V.mesh.n_elements * n for n in nq]
 
@@ -386,12 +386,29 @@ def test_source_evaluated_once_per_mesh_and_order(degree):
 
     # a new order evaluates once, a space on a refined mesh again
     for _ in range(2):
-        V2.source_values(prob.source, 5)
+        V2.mesh.source_values(prob.source, 5)
         V2.load_vectors(prob.source, 5)
     assert calls[2:] == [V.mesh.n_elements * len(simplex_rule(2, 5).weights)]
     V3 = FeSpace(uniform_refine(V.mesh, 1), degree)
     V3.load_vectors(prob.source, 8)
     assert calls[3:] == [V3.mesh.n_elements * nq[1]]
+
+
+def test_both_degrees_share_the_affine_maps_of_their_mesh(monkeypatch):
+    # the P1 and P2 residuals of one DWR level invert the Jacobians once
+    inv, calls = np.linalg.inv, []
+
+    def counting(a):
+        calls.append(len(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    prob = smooth_problem(2, p=4.0, eps=1e-2)
+    mesh = uniform_refine(build_box_mesh(2, 2), 1)
+    for k in (1, 2):
+        V = FeSpace(mesh, k)
+        assemble_residual(V, random_state(V, seed=k), prob)
+    assert calls == [mesh.n_elements]
 
 
 def test_cached_source_follows_the_problem():
@@ -412,7 +429,7 @@ def identity_rows(V, K):
     rows and columns on the constrained dofs, explicit zeros dropped. ``K``
     itself is left raw, so a bound may still be scaled by its entries."""
     rows = np.repeat(np.arange(V.n_dofs), np.diff(K.indptr))
-    keep = V.free[rows] & V.free[K.indices]
+    keep = ~V.constrained[rows] & ~V.constrained[K.indices]
     out = K.copy()
     out.data = np.where(keep, K.data, rows == K.indices)
     out.eliminate_zeros()
@@ -451,7 +468,7 @@ def test_csr_pattern_is_built_once_and_never_aliased(d, degree):
     assemblies = (lambda: assemble_jacobian(V, u, prob),
                   lambda: assemble_time_matrix(V))
     first = [assemble() for assemble in assemblies]
-    pattern = V.csr_pattern()
+    pattern = V.csr_pattern
     saved = {key: arr.copy() for key, arr in pattern.items()}
     for assemble, K in zip(assemblies, first):
         ref = K.copy()
@@ -462,7 +479,7 @@ def test_csr_pattern_is_built_once_and_never_aliased(d, degree):
         assert np.array_equal(again.indptr, ref.indptr)
         assert np.array_equal(again.indices, ref.indices)
         assert np.array_equal(again.data, ref.data)
-    assert V.csr_pattern() is pattern
+    assert V.csr_pattern is pattern
     for key, arr in pattern.items():
         assert np.array_equal(arr, saved[key])
         assert not arr.flags.writeable
@@ -531,11 +548,11 @@ def full_order_p1_forms(V, u, w, z, prob, order):
     gx, ut = grads[..., :-1], grads[..., -1]
     s = np.einsum("eqi,eqi->eq", gx, gx) + prob.eps * prob.eps
     a = s ** ((prob.p - 2.0) / 2.0)
-    f = V.source_values(prob.source, order)
+    f = V.mesh.source_values(prob.source, order)
     r = (b["scale"] * (ut - f)) @ b["values"]
     r += V.integrate_grad_x(order, a[..., None] * gx)
 
-    _jac, inv_jac_t, _det = V.geometry()
+    _jac, inv_jac_t, _det = V.mesh.geometry
     js = inv_jac_t[:, :gx.shape[-1], :]
     upper, lower = b["pairs"]
     jst = np.swapaxes(js, 1, 2)

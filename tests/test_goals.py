@@ -1,3 +1,4 @@
+import weakref
 from math import factorial
 
 import numpy as np
@@ -128,7 +129,7 @@ def test_region_gradient_matches_physical_gradient_einsum(d, degree):
     u = FeFunction(V, np.random.default_rng(9).normal(size=V.n_dofs))
     order = 2 * degree + 4
     b = V.batch(order)
-    _jac, inv_jac_t, _det = V.geometry()
+    _jac, inv_jac_t, _det = V.mesh.geometry
     gphi = np.einsum("eij,qaj->eqai", inv_jac_t, b["ref_grads"])[..., :-1]
     gx = np.einsum("eqai,ea->eqi", gphi, u.coeffs[V.elem_dofs])
     dens = 4.0 * np.sum(gx * gx, axis=-1)
@@ -203,7 +204,7 @@ def test_final_time_goal_matches_facet_loop(d, degree):
     V = FeSpace(mesh, degree)
     goal = FinalTimeIntegralGoal()
     rule = simplex_rule(d, FACET_ORDER)
-    _jac, inv_jac_t, _det = V.geometry()
+    _jac, inv_jac_t, _det = V.mesh.geometry
     w = np.random.default_rng(12).normal(size=V.n_dofs)
     table = np.zeros((mesh.n_elements, V.n_local))
     g = np.zeros(V.n_dofs)
@@ -279,3 +280,16 @@ def test_region_goal_oracles_match_quadrature(d, rounds):
     dens = np.sum(gx * gx, axis=1) ** 2  # |grad_x u|^4
     J = np.sum(det[:, None] * rule.weights * dens.reshape(len(det), -1))
     assert J == pytest.approx(REGION_GOAL_P4[d], rel=1e-12, abs=0.0)
+
+
+def test_goal_tables_do_not_keep_their_space_or_mesh_alive():
+    mesh, region = build_region_mesh(1)
+    V = FeSpace(mesh, 2)
+    final, energy = FinalTimeIntegralGoal(), RegionEnergyGoal(region, 4.0, mesh)
+    u = interpolate(V, lambda x: x[:, 0] * x[:, 1])
+    for goal in (final, energy):
+        goal.element_vectors(V, u)
+    space_ref, mesh_ref = weakref.ref(V), weakref.ref(mesh)
+    del V, mesh, u
+    assert space_ref() is None
+    assert mesh_ref() is None

@@ -164,10 +164,19 @@ def test_main_usage_error_exit_code():
     ["--preset", "nonlinear_goal", "--initial-cells", "3"],
     ["--preset", "smooth_convergence", "--theta", "0.3"],
     ["--preset", "linear_goal", "--precond", "jacobi"],
+    ["--seed", "-1"],
+    ["--out-csv", "/nonexistent/x.csv"],
 ])
 def test_bad_setup_value_is_a_usage_error(argv, capsys):
     from stfem.cli import main
     assert main(argv + ["--max-dofs", "50"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_empty_dof_budget_is_a_usage_error(capsys):
+    # its own case: the test above appends --max-dofs 50, which would win
+    from stfem.cli import main
+    assert main(["--max-dofs", "0"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

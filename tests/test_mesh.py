@@ -197,14 +197,14 @@ def test_box_mesh_rejects_bad_dimension():
 
 
 def test_boundary_classification_d1():
-    _facets, _owners, tags = build_box_mesh(1, 1).boundary_facets()
+    _facets, _owners, tags = build_box_mesh(1, 1).boundary_facets
     counts = {t: np.count_nonzero(tags == t) for t in BoundaryTag}
     assert counts[BoundaryTag.BOTTOM] == 1
     assert counts[BoundaryTag.TOP] == 1
     assert counts[BoundaryTag.LATERAL] == 2
     assert len(tags) == 4
 
-    _facets, _owners, tags2 = build_box_mesh(1, 2).boundary_facets()
+    _facets, _owners, tags2 = build_box_mesh(1, 2).boundary_facets
     vals = tags2.tolist()
     assert vals.count(BoundaryTag.BOTTOM) == 2
     assert vals.count(BoundaryTag.TOP) == 2
@@ -215,7 +215,7 @@ def test_interior_facet_tag():
     m = build_box_mesh(1, 1)
     diag = sorted(set(m.elements[0].tolist()) & set(m.elements[1].tolist()))
     assert len(diag) == 2
-    facets, _owners, _tags = m.boundary_facets()
+    facets, _owners, _tags = m.boundary_facets
     assert diag not in facets.tolist()
 
 
@@ -315,7 +315,7 @@ def test_vertex_ids_stable_under_refinement():
     assert r.n_vertices > m.n_vertices
     assert np.array_equal(r.vertices[:m.n_vertices], m.vertices)
     # every new vertex is the midpoint of an edge of the parent mesh
-    pairs, _ = m.edge_table()
+    pairs, _ = m.edge_table
     mids = 0.5 * (m.vertices[pairs[:, 0]] + m.vertices[pairs[:, 1]])
     for x in r.vertices[m.n_vertices:]:
         assert np.any(np.all(mids == x, axis=1))
@@ -367,11 +367,11 @@ def test_boundary_facets_match_loop_and_are_cached(d):
     for kind in ("box", "reflected", "region"):
         mesh = refined_mesh(d, kind)
         expected = boundary_dict_loop(mesh)
-        facets, owners, tags = mesh.boundary_facets()
+        facets, owners, tags = mesh.boundary_facets
         assert np.array_equal(facets, [f for f, _e, _t in expected]), kind
         assert np.array_equal(owners, [e for _f, e, _t in expected]), kind
         assert np.array_equal(tags, [t for _f, _e, t in expected]), kind
-        assert mesh.boundary_facets()[0] is facets
+        assert mesh.boundary_facets[0] is facets
         assert not facets.flags.writeable
 
 
@@ -391,7 +391,7 @@ def test_constrained_mask_matches_facet_set_rule(d, kind, degree):
             mask[list(facet)] = True
     if degree == 2:
         nv = mesh.n_vertices
-        pairs, _ = mesh.edge_table()
+        pairs, _ = mesh.edge_table
         mids = V.dof_coords[nv:]
         on_face = np.abs(mids[:, -1]) <= 1e-12
         for x in mids[:, :-1].T:
@@ -431,7 +431,7 @@ def test_inverted_element_fails_the_volume_check():
     moved = SimplicialMesh(verts, m.elements, m.tags)
     assert np.any(np.sign(moved.signed_volumes())
                   != np.sign(m.signed_volumes()))
-    moved.boundary_facets()  # topologically still conforming
+    moved.boundary_facets  # topologically still conforming
     with pytest.raises(MeshError, match="volumes sum"):
         moved.check_conforming()
 

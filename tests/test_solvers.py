@@ -463,7 +463,7 @@ def test_adjoint_p2_equals_directly_assembled_backward_problem():
     T = assemble_time_matrix(V)
     K = assemble_jacobian(V, u, prob)
     S = K - T
-    m = V.free.astype(float)
+    m = (~V.constrained).astype(float)
     B = (sp.diags(m) @ (T.T + S) @ sp.diags(m) + sp.diags(1 - m)).tocsr()
     res = linear_solve(B, DIRECT)(goal.gradient(V, u))
     assert np.linalg.norm(res.x - z.coeffs) < 1e-8 * np.linalg.norm(z.coeffs)

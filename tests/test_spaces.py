@@ -18,13 +18,13 @@ def test_dof_counts_and_constraints_two_triangles():
     assert V.n_dofs == 4
     # all four corners lie on the lateral sides or the bottom
     assert V.constrained.sum() == 4
-    assert V.free.sum() == 0
+    assert (~V.constrained).sum() == 0
 
 
 def test_free_dofs_n2():
     V = FeSpace(build_box_mesh(1, 2), 1)
     assert V.n_dofs == 9
-    free_nodes = V.dof_coords[V.free]
+    free_nodes = V.dof_coords[~V.constrained]
     assert len(free_nodes) == 2
     # center node and top-midpoint node; the top face is unconstrained
     assert sorted(map(tuple, free_nodes.tolist())) == [(0.5, 0.5), (0.5, 1.0)]
@@ -45,10 +45,10 @@ def test_edge_table_and_p2_dofs_match_edge_loop():
     local = list(itertools.combinations(range(mesh.dim + 1), 2))
     ids = [[index[tuple(sorted((elem[a], elem[b])))] for a, b in local]
            for elem in mesh.elements.tolist()]
-    got_pairs, got_ids = mesh.edge_table()
+    got_pairs, got_ids = mesh.edge_table
     assert np.array_equal(got_pairs, pairs)
     assert np.array_equal(got_ids, ids)
-    assert mesh.edge_table()[0] is got_pairs
+    assert mesh.edge_table[0] is got_pairs
     V = FeSpace(mesh, 2)
     nv = mesh.n_vertices
     assert np.array_equal(V.elem_dofs, np.hstack([mesh.elements,
@@ -127,7 +127,7 @@ def test_partition_of_unity(d, k):
 
 def physical_gradients(V, order):
     """Reference: per-element physical shape gradients (ne, nq, nloc, D)."""
-    _jac, inv_jac_t, _det = V.geometry()
+    _jac, inv_jac_t, _det = V.mesh.geometry
     return np.einsum("eij,qaj->eqai", inv_jac_t, V.batch(order)["ref_grads"])
 
 
@@ -320,12 +320,12 @@ def test_points_are_computed_on_demand(mesh):
     V = FeSpace(mesh, 2)
     order = V.default_order()
     assert "points" not in V.batch(order)
-    jac = V.geometry()[0]
+    jac = V.mesh.geometry[0]
     X0 = V.mesh.vertices[V.mesh.elements[:, 0]]
     pts = X0[:, None, :] + np.einsum(
         "eij,qj->eqi", jac, V.batch(order)["rule"].points)
-    assert np.array_equal(V.points(order), pts)
-    assert np.array_equal(V.points(order, slice(5, 9)), pts[5:9])
+    assert np.array_equal(V.mesh.points(order), pts)
+    assert np.array_equal(V.mesh.points(order, slice(5, 9)), pts[5:9])
 
 
 def test_source_values_are_evaluated_in_element_blocks():
@@ -339,21 +339,21 @@ def test_source_values_are_evaluated_in_element_blocks():
         sizes.append(len(pts))
         return prob.source(pts)
 
-    f = V.source_values(source, order)
+    f = V.mesh.source_values(source, order)
     nq = len(V.batch(order)["rule"].weights)
     assert len(sizes) == -(-mesh.n_elements // spaces._ELEMENT_BLOCK) >= 3
     assert max(sizes) <= spaces._ELEMENT_BLOCK * nq
     assert sum(sizes) == mesh.n_elements * nq
-    whole = prob.source(V.points(order).reshape(-1, 2))
+    whole = prob.source(V.mesh.points(order).reshape(-1, 2))
     assert np.array_equal(f, whole.reshape(f.shape))
 
 
 def test_source_evaluation_holds_no_whole_mesh_temporaries():
     V = FeSpace(blocks_mesh(8), 1)
     prob = smooth_problem(1, p=4.0, eps=1e-5)
-    V.geometry()  # cached per space, as in every assembly
+    V.mesh.geometry  # cached per mesh, as in every assembly
     f, peak = traced_peak(
-        lambda: V.source_values(lambda x: prob.source(x), 6))
+        lambda: V.mesh.source_values(lambda x: prob.source(x), 6))
     assert peak <= 3 * f.nbytes
 
 
@@ -363,7 +363,7 @@ def test_csr_pattern_matches_the_unique_keys(d, degree):
     V = FeSpace(mesh, degree)
     n, ed = V.n_dofs, V.elem_dofs.astype(np.int64)
     keys = (ed[:, :, None] * n + ed[:, None, :]).ravel()
-    pattern, peak = traced_peak(V.csr_pattern)
+    pattern, peak = traced_peak(lambda: V.csr_pattern)
     unique, slot = np.unique(keys, return_inverse=True)
     rows, cols = np.divmod(unique, n)
     assert np.array_equal(pattern["slot"], slot.ravel())
