@@ -10,8 +10,8 @@ solves; the partition-of-unity localization telescopes exactly.
 import numpy as np
 
 from stfem import (FeSpace, FinalTimeIntegralGoal, LinearSolverConfig,
-                   build_box_mesh, efficiency, enrich, estimate, eval_goal,
-                   inject, newton_solve, random_initial_guess, smooth_problem,
+                   build_box_mesh, efficiency, enrich, estimate, inject,
+                   newton_solve, random_initial_guess, smooth_problem,
                    solve_adjoint, uniform_refine)
 
 EXACT = 2.0 * np.e / np.pi
@@ -30,7 +30,7 @@ print(f"primal solve: {su.newton_iters} Newton steps on {V.n_dofs} dofs; "
       f"enriched: {s2.newton_iters} steps on {V2.n_dofs} dofs")
 
 bd = estimate(prob, goal, u, z, u2, z2)
-J_h = eval_goal(goal, u)
+J_h = goal.value(u)
 err = EXACT - J_h
 print(f"\nJ(u) - J(u_h)      = {err:+.6e}   (exact goal error)")
 print(f"primal part        = {bd.eta_h_p:+.6e}")

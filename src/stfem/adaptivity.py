@@ -157,7 +157,7 @@ def adaptive_loop(prob: ProblemDefinition, goal, mesh: SimplicialMesh,
                                 converged=stats.converged)
 
         if goal is not None:
-            rec.J_h = goal.value(space, u)
+            rec.J_h = goal.value(u)
             if prob.exact_goal is not None:
                 rec.J_error = prob.exact_goal - rec.J_h
         if prob.exact is not None:

@@ -38,34 +38,6 @@ from .problems import ProblemDefinition
 from .spaces import FeFunction, FeSpace
 
 
-def flux(g: np.ndarray, p: float, eps: float) -> np.ndarray:
-    """Regularized p-Laplace flux (|g|^2 + eps^2)^((p-2)/2) g.
-
-    Accepts gradients of shape (..., d).
-    """
-    g = np.asarray(g, dtype=float)
-    s = np.sum(g * g, axis=-1) + eps * eps
-    return s[..., None] ** ((p - 2.0) / 2.0) * g
-
-
-def flux_jacobian(g: np.ndarray, p: float, eps: float) -> np.ndarray:
-    """Derivative of the flux at g, shape (..., d, d).
-
-    Equals a*I + (p-2)*b*g g^T with a = s^((p-2)/2), b = s^((p-4)/2),
-    s = |g|^2 + eps^2; symmetric and positive definite for eps > 0.  Only
-    the manufactured source and the tests use it: the assembly applies the
-    same derivative in rank-one form and never stores it per point.
-    """
-    g = np.asarray(g, dtype=float)
-    d = g.shape[-1]
-    s = np.sum(g * g, axis=-1) + eps * eps
-    a = s ** ((p - 2.0) / 2.0)
-    b = s ** ((p - 4.0) / 2.0)
-    eye = np.eye(d)
-    outer = g[..., :, None] * g[..., None, :]
-    return a[..., None, None] * eye + (p - 2.0) * b[..., None, None] * outer
-
-
 @dataclass(frozen=True)
 class QuadratureState:
     """A function u at the quadrature points for the forms of one space:

@@ -10,7 +10,8 @@ The parser is the one description of a run: ``main(argv)`` or
 ``run(build_parser().parse_args(argv))`` runs it.  A flag the run would not
 use is a usage error: ``--goal`` outside ``custom``, ``--mode dwr`` without a
 goal, ``--initial-cells`` with the region goal, whose mesh is fixed,
-``--theta`` outside dwr mode, and ``--precond`` with the direct solver.
+and ``--theta`` outside dwr mode.  A run exits 1 naming each level that did
+not converge.
 """
 
 from __future__ import annotations
@@ -61,13 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-levels", type=int, default=40)
     p.add_argument("--initial-cells", type=int, default=None,
                    help="cells per axis of the initial box grid (default 2)")
-    p.add_argument("--solver", choices=["gmres", "direct"], default="direct")
-    p.add_argument("--precond", choices=["jacobi", "ilu0"],
-                   default=None,
-                   help="GMRES preconditioner; ilu0 (the default) is "
-                        "SuperLU's threshold incomplete LU with drop "
-                        "tolerance 1e-4 (the name is kept for existing "
-                        "scripts)")
+    p.add_argument("--solver", choices=["gmres", "direct"], default="direct",
+                   help="gmres is preconditioned by an incomplete LU")
     p.add_argument("--goal", choices=["final_time", "region_energy", "none"],
                    default=None, help="goal functional (custom preset)")
     p.add_argument("--out-csv", default=None)
@@ -95,8 +91,6 @@ def _setup(args: argparse.Namespace):
         raise ValueError("--mode dwr needs a goal functional")
     if args.theta is not None and mode != "dwr":
         raise ValueError("--theta applies to dwr mode only")
-    if args.precond is not None and args.solver != "gmres":
-        raise ValueError("--precond applies to --solver gmres only")
     csv_dir = os.path.dirname(args.out_csv or "") or "."
     if not os.path.isdir(csv_dir):
         raise ValueError(f"--out-csv: no directory {csv_dir}")
@@ -166,8 +160,7 @@ def run(args: argparse.Namespace) -> int:
     """
     prob, goal, mesh, cfg = _setup(args)
     ncfg = NewtonConfig()
-    lcfg = LinearSolverConfig(kind=args.solver, preconditioner=args.precond
-                              or LinearSolverConfig.preconditioner)
+    lcfg = LinearSolverConfig(kind=args.solver)
 
     callback = None
     if args.out_vtk_dir:
@@ -213,6 +206,10 @@ def run(args: argparse.Namespace) -> int:
               f"I_eff_p={last.I_eff_p:.4f} I_eff_a={last.I_eff_a:.4f}")
     for line in rate_lines:
         print(line)
+    for rec in records:
+        if not rec.converged:
+            print(f"error: level {rec.level} ({rec.dofs} dofs) did not "
+                  "converge", file=sys.stderr)
     return 0 if result.converged else 1
 
 

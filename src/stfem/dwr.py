@@ -87,7 +87,7 @@ def estimate(prob: ProblemDefinition, goal, u: FeFunction, z: FeFunction,
     eta_k = -float(r2 @ zt.coeffs)
     K2 = assemble_jacobian(space2, st, prob)
     # J'(u)(w) per element; its sum is the global J'(u)(w)
-    loc_j = goal.derivative_element_values(space2, ut, wu)
+    loc_j = goal.derivative_element_values(ut, wu)
     eta_h_a = float(loc_j.sum()) - float(zt.coeffs @ (K2 @ wu))
     eta_h = 0.5 * (eta_h_p + eta_h_a)
 

@@ -1,11 +1,12 @@
 """Goal functionals and their derivatives.
 
-A goal supplies two things on a space: its ``value`` J(u), computed
-directly, and its ``element_vectors``, the integrals of J'(u) phi_a over each
-element.  :class:`Goal` derives everything else from the element vectors:
-the assembled ``gradient`` that drives the adjoint solve, the per-element
-contributions J'(u)(w) that the estimator localizes, and their sum.  A
-combined goal is then a weighted sum of both parts.
+A goal is a functional of the function u alone.  It supplies its ``value``
+J(u), computed directly, and its ``element_vectors``, the integrals of
+J'(u) phi_a over each element of u's space.  :class:`Goal` derives
+everything else from the element vectors: the assembled ``gradient`` that
+drives the adjoint solve, the per-element contributions J'(u)(w) that the
+estimator localizes, and their sum.  A combined goal is then a weighted sum
+of both parts.
 
 Two quantities of interest are provided: the integral of the solution over
 the spatial domain at final time, and the p-energy of the spatial gradient
@@ -20,7 +21,7 @@ import numpy as np
 
 from .mesh import REGION_VOLUME_TOL, BoundaryTag, GoalRegion, SimplicialMesh
 from .quadrature import simplex_rule
-from .spaces import FeFunction, FeSpace, tabulate_shape
+from .spaces import FeFunction, tabulate_shape
 
 # quadrature order on the top-face facets; exact for the shape functions of
 # every supported degree
@@ -32,26 +33,29 @@ class GoalError(Exception):
 
 
 class Goal:
-    """A goal functional J.  Subclasses supply ``value(space, u)`` and
-    ``element_vectors(space, u)``, (n_elements, n_local); the derivative
-    family below is built from the element vectors alone."""
+    """A goal functional J of a function u.  Subclasses supply ``value(u)``
+    and ``element_vectors(u)``, (n_elements, n_local) on ``u.space``; the
+    derivative family below is built from the element vectors alone."""
 
-    def gradient(self, space: FeSpace, u: FeFunction) -> np.ndarray:
+    def gradient(self, u: FeFunction) -> np.ndarray:
         """Assembled dof vector of J'(u), zero on constrained dofs."""
-        g = np.bincount(space.elem_dofs.ravel(),
-                        weights=self.element_vectors(space, u).ravel(),
-                        minlength=space.n_dofs)
-        g[space.constrained] = 0.0
+        g = np.bincount(u.space.elem_dofs.ravel(),
+                        weights=self.element_vectors(u).ravel(),
+                        minlength=u.space.n_dofs)
+        g[u.space.constrained] = 0.0
         return g
 
-    def derivative_element_values(self, space: FeSpace, u: FeFunction,
+    def derivative_element_values(self, u: FeFunction,
                                   weight: np.ndarray) -> np.ndarray:
         """Per-element contributions of J'(u)(w) for w's dof vector."""
-        return np.einsum("ea,ea->e", self.element_vectors(space, u),
-                         weight[space.elem_dofs])
+        return np.einsum("ea,ea->e", self.element_vectors(u),
+                         weight[u.space.elem_dofs])
 
-    def derivative(self, space: FeSpace, u: FeFunction, v: FeFunction) -> float:
-        return float(self.derivative_element_values(space, u, v.coeffs).sum())
+    def derivative(self, u: FeFunction, v: FeFunction) -> float:
+        """J'(u)(v) for a v on the same space as u."""
+        if u.space is not v.space:
+            raise ValueError("u and v must live on the same space")
+        return float(self.derivative_element_values(u, v.coeffs).sum())
 
 
 class FinalTimeIntegralGoal(Goal):
@@ -65,13 +69,14 @@ class FinalTimeIntegralGoal(Goal):
     def __init__(self):
         self._tables = weakref.WeakKeyDictionary()
 
-    def value(self, space: FeSpace, u: FeFunction) -> float:
-        return float(np.sum(self.element_vectors(space, u)
-                            * u.coeffs[space.elem_dofs]))
+    def value(self, u: FeFunction) -> float:
+        return float(np.sum(self.element_vectors(u)
+                            * u.coeffs[u.space.elem_dofs]))
 
-    def element_vectors(self, space: FeSpace, u: FeFunction) -> np.ndarray:
+    def element_vectors(self, u: FeFunction) -> np.ndarray:
         """Read-only facet integrals of each element's shape functions over
         its top-face facets, zero for elements off the top face."""
+        space = u.space
         if space in self._tables:
             return self._tables[space]
         mesh = space.mesh
@@ -125,36 +130,26 @@ class RegionEnergyGoal(Goal):
             self._inside[mesh] = inside
         return self._inside[mesh]
 
-    def _grad_x(self, space: FeSpace, u: FeFunction):
+    def _grad_x(self, u: FeFunction):
         """Quadrature order, spatial gradient of u at its points (ne, nq, d),
         its squared norm (ne, nq) and the inside mask (ne,)."""
         # order 2k + 4 integrates the p = 4 density and its derivative
         # exactly for every supported degree k
-        order = 2 * space.degree + 4
+        order = 2 * u.space.degree + 4
         gx = u.at_quadrature(order)[1][..., :-1]
         return (order, gx, np.einsum("eqi,eqi->eq", gx, gx),
-                self.inside_elements(space.mesh))
+                self.inside_elements(u.space.mesh))
 
-    def value(self, space: FeSpace, u: FeFunction) -> float:
-        order, _gx, norm2, inside = self._grad_x(space, u)
+    def value(self, u: FeFunction) -> float:
+        order, _gx, norm2, inside = self._grad_x(u)
         dens = norm2 ** (self.p / 2.0)
-        return float(np.sum(space.batch(order)["scale"][inside]
+        return float(np.sum(u.space.batch(order)["scale"][inside]
                             * dens[inside]))
 
-    def element_vectors(self, space: FeSpace, u: FeFunction) -> np.ndarray:
+    def element_vectors(self, u: FeFunction) -> np.ndarray:
         """Integrals of p |grad_x u|^(p-2) grad_x u . grad_x phi_a over each
         element inside the region, zero outside."""
-        order, gx, norm2, inside = self._grad_x(space, u)
+        order, gx, norm2, inside = self._grad_x(u)
         dens = self.p * norm2 ** ((self.p - 2.0) / 2.0)
         dens = np.where(inside[:, None], dens, 0.0)
-        return space.integrate_grad_x(order, dens[..., None] * gx)
-
-
-def eval_goal(goal, u: FeFunction) -> float:
-    return goal.value(u.space, u)
-
-
-def goal_derivative(goal, u: FeFunction, v: FeFunction) -> float:
-    if u.space is not v.space:
-        raise ValueError("u and v must live on the same space")
-    return goal.derivative(u.space, u, v)
+        return u.space.integrate_grad_x(order, dens[..., None] * gx)

@@ -128,7 +128,7 @@ class SimplicialMesh:
         return np.linalg.det(edges) / factorial(self.dim)
 
     def volumes(self) -> np.ndarray:
-        return np.abs(self.signed_volumes())
+        return self.geometry[2] / factorial(self.dim)
 
     def barycenters(self) -> np.ndarray:
         return self.element_coords().mean(axis=1)
@@ -207,8 +207,11 @@ class SimplicialMesh:
         """Per-element affine maps (jac, inv_jac_T, absdet), once per mesh."""
         X = self.element_coords()
         jac = np.swapaxes(X[:, 1:, :] - X[:, :1, :], 1, 2)  # columns x_i - x_0
+        det = np.linalg.det(jac)
+        if not det.all():  # a flat element's map has no inverse
+            raise MeshError(f"element {np.argmin(det != 0)} has zero volume")
         inv_jac_t = np.swapaxes(np.linalg.inv(jac), 1, 2)
-        return jac, inv_jac_t, np.abs(np.linalg.det(jac))
+        return jac, inv_jac_t, np.abs(det)
 
     def points(self, order: int, elements=slice(None)) -> np.ndarray:
         """Physical quadrature points x0 + J xi, (ne, nq, D), of every
@@ -248,7 +251,7 @@ class SimplicialMesh:
         Every facet must be shared by at most two elements, a facet with a
         single owner must lie on the boundary of the unit box (otherwise a
         neighbor was refined without matching, i.e. a hanging node exists),
-        and the element volumes must sum to one.
+        no element may have zero volume, and the volumes must sum to one.
         """
         self.boundary_facets
         vol = self.volumes().sum()

@@ -16,21 +16,48 @@ from typing import Callable, Optional
 import numpy as np
 
 
+def flux(g: np.ndarray, p: float, eps: float) -> np.ndarray:
+    """Regularized p-Laplace flux (|g|^2 + eps^2)^((p-2)/2) g.
+
+    Accepts gradients of shape (..., d).
+    """
+    g = np.asarray(g, dtype=float)
+    s = np.sum(g * g, axis=-1) + eps * eps
+    return s[..., None] ** ((p - 2.0) / 2.0) * g
+
+
+def flux_jacobian(g: np.ndarray, p: float, eps: float) -> np.ndarray:
+    """Derivative of the flux at g, shape (..., d, d).
+
+    Equals a*I + (p-2)*b*g g^T with a = s^((p-2)/2), b = s^((p-4)/2),
+    s = |g|^2 + eps^2; symmetric and positive definite for eps > 0.  Only
+    the manufactured source and the tests use it: the assembly applies the
+    same derivative in rank-one form and never stores it per point.
+    """
+    g = np.asarray(g, dtype=float)
+    d = g.shape[-1]
+    s = np.sum(g * g, axis=-1) + eps * eps
+    a = s ** ((p - 2.0) / 2.0)
+    b = s ** ((p - 4.0) / 2.0)
+    eye = np.eye(d)
+    outer = g[..., :, None] * g[..., None, :]
+    return a[..., None, None] * eye + (p - 2.0) * b[..., None, None] * outer
+
+
 @dataclass
 class ManufacturedSolution:
     """Closed-form solution with the derivatives needed for source terms.
 
     All callables take points of shape (n, d+1), last column time, and return
-    arrays: value (n,), dt (n,), grad (n, d) spatial gradient, hess (n, d, d)
-    spatial Hessian; ``derivatives`` returns (dt, grad, hess) from one
-    evaluation of the solution's factors.
+    arrays: value (n,) and grad (n, d), the spatial gradient, which the error
+    norms read; ``derivatives`` returns (dt (n,), grad, hess (n, d, d)), the
+    time derivative, gradient and spatial Hessian that the source reads, from
+    one evaluation of the solution's factors.
     """
 
     d: int
     value: Callable[[np.ndarray], np.ndarray]
-    dt: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
     derivatives: Callable[[np.ndarray], tuple]
 
 
@@ -47,9 +74,6 @@ def smooth_product_solution(d: int) -> ManufacturedSolution:
         g = t * t * np.exp(t)
         gdot = (2.0 * t + t * t) * np.exp(t)
         return s, c, g, gdot
-
-    def dt_of(s, c, g, gdot):
-        return gdot * s.prod(axis=1)
 
     def grad_of(s, c, g, gdot):
         out = np.empty_like(s)
@@ -79,13 +103,11 @@ def smooth_product_solution(d: int) -> ManufacturedSolution:
         return g * s.prod(axis=1)
 
     def derivatives(pts):
-        fac = parts(pts)
-        return dt_of(*fac), grad_of(*fac), hess_of(*fac)
+        s, _, _, gdot = fac = parts(pts)
+        return gdot * s.prod(axis=1), grad_of(*fac), hess_of(*fac)
 
-    return ManufacturedSolution(
-        d, value, lambda pts: dt_of(*parts(pts)),
-        lambda pts: grad_of(*parts(pts)), lambda pts: hess_of(*parts(pts)),
-        derivatives)
+    return ManufacturedSolution(d, value, lambda pts: grad_of(*parts(pts)),
+                                derivatives)
 
 
 @dataclass
@@ -123,8 +145,6 @@ def manufactured_source(exact: ManufacturedSolution, p: float,
     The divergence is evaluated as the Frobenius product of the flux Jacobian
     with the spatial Hessian, avoiding hand expansion of the divergence.
     """
-    from .assembly import flux_jacobian
-
     def f(pts):
         dt, g, H = exact.derivatives(pts)
         return dt - np.einsum("nij,nij->n", flux_jacobian(g, p, eps), H)

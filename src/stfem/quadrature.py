@@ -45,10 +45,6 @@ class QuadratureRule:
     weights: np.ndarray
     order: int
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
 
 @functools.lru_cache(maxsize=None)
 def simplex_rule(dim: int, order: int) -> QuadratureRule:

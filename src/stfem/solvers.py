@@ -246,7 +246,7 @@ def newton_solve(prob: ProblemDefinition, space: FeSpace, init: FeFunction,
         solve = linear_solve(assemble_jacobian(space, state, prob), lcfg,
                              space.mesh.dim)
         if goal is not None and (last or (stop and stats.newton_iters > 0)):
-            zres = solve(goal.gradient(space, u), "T")
+            zres = solve(goal.gradient(u), "T")
             stats.total_inner_iters += zres.iters
             stats.adjoint = FeFunction(space, zres.x)
             met = (stop and stop(u, r, stats.adjoint)) or met
@@ -285,5 +285,5 @@ def solve_adjoint(space: FeSpace, u: FeFunction, goal,
     time."""
     solve = linear_solve(assemble_jacobian(space, u, prob),
                          lcfg or LinearSolverConfig(), space.mesh.dim)
-    res = solve(goal.gradient(space, u), "T")
+    res = solve(goal.gradient(u), "T")
     return FeFunction(space, res.x), res

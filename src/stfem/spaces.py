@@ -118,7 +118,8 @@ class FeSpace:
                           + mesh.vertices[edge_pairs[:, 1]])
             self.dof_coords = np.vstack([mesh.vertices, mids])
 
-        mesh.boundary_facets  # raises MeshError for a hanging facet
+        # raise MeshError for a hanging facet or an element of zero volume
+        mesh.boundary_facets, mesh.geometry
         bottom, _top, lateral = box_faces(self.dof_coords[:, None, :])
         self.constrained = bottom | lateral
         self._batch_cache = {}

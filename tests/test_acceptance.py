@@ -13,7 +13,7 @@ from stfem.adaptivity import AdaptiveConfig, adaptive_loop, doerfler_mark
 from stfem.assembly import (assemble_jacobian, assemble_residual,
                             assemble_time_matrix)
 from stfem.dwr import enrich, estimate
-from stfem.goals import FinalTimeIntegralGoal, RegionEnergyGoal, eval_goal
+from stfem.goals import FinalTimeIntegralGoal, RegionEnergyGoal
 from stfem.mesh import build_box_mesh, build_region_mesh, uniform_refine
 from stfem.problems import smooth_problem
 from stfem.quadrature import simplex_rule
@@ -339,7 +339,7 @@ def test_c08_estimator_identities(final_time_runs):
         u2, _s2 = newton_solve(prob, V2, inject(u, V2), lcfg=DIRECT)
         z2, _ = solve_adjoint(V2, u2, goal, prob, DIRECT)
         bd = estimate(prob, goal, u, z, u2, z2)
-        d = eval_goal(goal, u2) - eval_goal(goal, u)
+        d = goal.value(u2) - goal.value(u)
         dJ.append(abs(d))
         R.append(abs(d - (bd.eta_h - bd.eta_k)))
         dofs.append(V.n_dofs)

@@ -5,8 +5,8 @@ import pytest
 
 from stfem.adaptivity import (AdaptiveConfig, ConvergenceRecord,
                               adaptive_loop, doerfler_mark)
-from stfem.goals import FinalTimeIntegralGoal
-from stfem.mesh import build_box_mesh
+from stfem.goals import FinalTimeIntegralGoal, RegionEnergyGoal
+from stfem.mesh import build_box_mesh, build_region_mesh
 from stfem.problems import smooth_problem
 from stfem.solvers import LinearSolverConfig, NewtonConfig
 from stfem.spaces import inject, transfer
@@ -403,3 +403,22 @@ def test_loop_frees_the_coarse_level_before_the_next_solve(monkeypatch,
     assert len(result.records) == 3
     freed = [[], [False], [False, False]]
     assert alive == {1: freed, 2: freed if mode == "dwr" else []}
+
+
+def test_region_loop_takes_each_meshs_determinants_once(monkeypatch):
+    # the affine maps, the volumes and the captured region volume of a mesh
+    # all read one np.linalg.det, including the checks of the initial mesh
+    det, calls, meshes = np.linalg.det, [], []
+
+    def counting(a):
+        calls.append(len(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting)
+    mesh, region = build_region_mesh(1)
+    goal = RegionEnergyGoal(region, 4.0, mesh)
+    result = adaptive_loop(smooth_problem(1), goal, mesh,
+                           AdaptiveConfig(max_dofs=300), lcfg=DIRECT,
+                           callback=lambda k, m, *rest: meshes.append(m))
+    assert len(result.records) == 10
+    assert calls == [m.n_elements for m in meshes]

@@ -8,7 +8,7 @@ from stfem.assembly import (assemble_jacobian, assemble_residual,
                             jacobian_form_element_values,
                             residual_form_element_values)
 from stfem.dwr import EstimatorBreakdown, efficiency, enrich, estimate
-from stfem.goals import FinalTimeIntegralGoal, eval_goal
+from stfem.goals import FinalTimeIntegralGoal
 from stfem.mesh import build_box_mesh, uniform_refine
 from stfem.problems import smooth_problem
 from stfem.solvers import (LinearSolverConfig, newton_solve,
@@ -76,12 +76,12 @@ def composed_estimate(prob, goal, u, z, u2, z2):
     r2 = assemble_residual(V2, ut, prob)
     K2 = assemble_jacobian(V2, ut, prob)
     eta_h_p = -float(r2 @ wz)
-    eta_h_a = goal.derivative(V2, ut, FeFunction(V2, wu)) \
+    eta_h_a = goal.derivative(ut, FeFunction(V2, wu)) \
         - float(zt.coeffs @ (K2 @ wu))
     # associated as in estimate(): (loc_p + loc_a) / 2 with
     # loc_a = J'(u)(w) - A'(u)(w, z) summed first
     local = 0.5 * (-residual_form_element_values(V2, ut, wz, prob)
-                   + (goal.derivative_element_values(V2, ut, wu)
+                   + (goal.derivative_element_values(ut, wu)
                       - jacobian_form_element_values(V2, ut, wu, zt.coeffs,
                                                      prob)))
     return {"eta_h_p": eta_h_p, "eta_h_a": eta_h_a,
@@ -139,7 +139,7 @@ def test_estimator_tracks_true_error_linear_case():
     for _ in range(3):
         V, u, z, V2, u2, z2 = solve_level(prob, goal, mesh)
         bd = estimate(prob, goal, u, z, u2, z2)
-        err = EXACT_GOAL_D1 - eval_goal(goal, u)
+        err = EXACT_GOAL_D1 - goal.value(u)
         assert 0.5 <= bd.eta_h / err <= 2.0
         mesh = uniform_refine(mesh, 2)
 
@@ -153,7 +153,7 @@ def test_error_identity_remainder_is_higher_order():
     for _ in range(4):
         V, u, z, V2, u2, z2 = solve_level(prob, goal, mesh)
         bd = estimate(prob, goal, u, z, u2, z2)
-        d = eval_goal(goal, u2) - eval_goal(goal, u)
+        d = goal.value(u2) - goal.value(u)
         r = d - (bd.eta_h - bd.eta_k)
         dJ.append(abs(d))
         R.append(abs(r))
@@ -184,3 +184,13 @@ def test_estimator_anatomy_demo_runs(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "efficiency indices: I_eff_h" in out
     assert "telescopes to eta_h" in out
+
+
+@pytest.mark.parametrize("name", ["02_smooth_convergence",
+                                  "03_goal_adaptivity", "05_region_goal"])
+def test_public_api_demos_run(name, tmp_path, monkeypatch, capsys):
+    # smoke runs: each demo drives the public API end to end
+    monkeypatch.chdir(tmp_path)
+    demo = Path(__file__).parents[1] / "demos" / f"{name}.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out

@@ -6,7 +6,7 @@ import pytest
 
 from stfem.cli import REGION_GOAL_P4
 from stfem.goals import (FACET_ORDER, FinalTimeIntegralGoal, GoalError,
-                         RegionEnergyGoal, eval_goal, goal_derivative)
+                         RegionEnergyGoal)
 from stfem.mesh import (build_box_mesh, build_region_mesh, diamond_region,
                         octahedron_region, refine, uniform_refine)
 from stfem.problems import smooth_product_solution
@@ -21,11 +21,11 @@ DIAMOND_P4 = 0.011016424135601978  # frozen high-order quadrature oracle
 def test_zero_function_gives_zero_goal():
     V = FeSpace(build_box_mesh(1, 2), 1)
     goal = FinalTimeIntegralGoal()
-    assert eval_goal(goal, zero_function(V)) == 0.0
+    assert goal.value(zero_function(V)) == 0.0
     mesh, region = build_region_mesh(1)
     Vr = FeSpace(mesh, 1)
     rgoal = RegionEnergyGoal(region, 4.0, mesh)
-    assert eval_goal(rgoal, zero_function(Vr)) == 0.0
+    assert rgoal.value(zero_function(Vr)) == 0.0
 
 
 def test_final_time_goal_linearity():
@@ -36,11 +36,18 @@ def test_final_time_goal_linearity():
     w = FeFunction(V, rng.normal(size=V.n_dofs))
     a, b = 1.7, -0.3
     lin = FeFunction(V, a * u.coeffs + b * w.coeffs)
-    assert eval_goal(goal, lin) == pytest.approx(
-        a * eval_goal(goal, u) + b * eval_goal(goal, w), rel=1e-12)
+    assert goal.value(lin) == pytest.approx(
+        a * goal.value(u) + b * goal.value(w), rel=1e-12)
     # derivative of a linear functional is the functional itself
-    assert goal_derivative(goal, u, w) == pytest.approx(
-        eval_goal(goal, w), rel=1e-12)
+    assert goal.derivative(u, w) == pytest.approx(goal.value(w), rel=1e-12)
+
+
+def test_derivative_needs_both_functions_on_one_space():
+    mesh = build_box_mesh(1, 2)
+    goal = FinalTimeIntegralGoal()
+    u = zero_function(FeSpace(mesh, 1))
+    with pytest.raises(ValueError, match="same space"):
+        goal.derivative(u, zero_function(FeSpace(mesh, 1)))
 
 
 def test_final_time_goal_converges_to_exact_value():
@@ -51,7 +58,7 @@ def test_final_time_goal_converges_to_exact_value():
     for _ in range(4):
         V = FeSpace(mesh, 1)
         u = interpolate(V, exact.value)
-        errs.append(abs(eval_goal(goal, u) - FINAL_TIME_D1))
+        errs.append(abs(goal.value(u) - FINAL_TIME_D1))
         mesh = uniform_refine(mesh, 2)
     assert errs[-1] < 2e-3
     assert all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
@@ -65,7 +72,7 @@ def test_region_goal_value_converges_to_oracle():
     for _ in range(4):
         V = FeSpace(mesh, 1)
         u = interpolate(V, exact.value)
-        errs.append(abs(eval_goal(goal, u) - DIAMOND_P4))
+        errs.append(abs(goal.value(u) - DIAMOND_P4))
         mesh = uniform_refine(mesh, 2)
     assert errs[0] > errs[-1]
     assert errs[-1] < 2e-3
@@ -78,7 +85,7 @@ def test_region_goal_nonnegative():
     rng = np.random.default_rng(5)
     for _ in range(10):
         u = FeFunction(V, rng.normal(size=V.n_dofs))
-        assert eval_goal(goal, u) >= 0.0
+        assert goal.value(u) >= 0.0
 
 
 def test_region_goal_zero_gradient_state():
@@ -89,7 +96,7 @@ def test_region_goal_zero_gradient_state():
     u = interpolate(V, lambda p: np.ones(len(p)))
     rng = np.random.default_rng(6)
     v = FeFunction(V, rng.normal(size=V.n_dofs))
-    assert goal_derivative(goal, u, v) == pytest.approx(0.0, abs=1e-13)
+    assert goal.derivative(u, v) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_region_goal_derivative_matches_finite_differences():
@@ -102,8 +109,8 @@ def test_region_goal_derivative_matches_finite_differences():
     h = 1e-6
     up = FeFunction(V, u.coeffs + h * v.coeffs)
     um = FeFunction(V, u.coeffs - h * v.coeffs)
-    fd = (eval_goal(goal, up) - eval_goal(goal, um)) / (2 * h)
-    got = goal_derivative(goal, u, v)
+    fd = (goal.value(up) - goal.value(um)) / (2 * h)
+    got = goal.derivative(u, v)
     assert got == pytest.approx(fd, rel=1e-5)
 
 
@@ -113,11 +120,11 @@ def test_gradient_consistent_with_derivative():
     goal = RegionEnergyGoal(region, 4.0, mesh)
     rng = np.random.default_rng(8)
     u = FeFunction(V, rng.normal(size=V.n_dofs))
-    g = goal.gradient(V, u)
+    g = goal.gradient(u)
     v = rng.normal(size=V.n_dofs)
     v[V.constrained] = 0.0
     assert g @ v == pytest.approx(
-        goal_derivative(goal, u, FeFunction(V, v)), rel=1e-12)
+        goal.derivative(u, FeFunction(V, v)), rel=1e-12)
     assert np.all(g[V.constrained] == 0.0)
 
 
@@ -139,13 +146,13 @@ def test_region_gradient_matches_physical_gradient_einsum(d, degree):
     ref = np.zeros(V.n_dofs)
     np.add.at(ref, V.elem_dofs, g_loc)
     ref[V.constrained] = 0.0
-    got = goal.gradient(V, u)
+    got = goal.gradient(u)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     # the element split of J'(u)(w), against the same per-point reference
     w = np.random.default_rng(10).normal(size=V.n_dofs)
     wg = np.einsum("eqai,ea->eqi", gphi, w[V.elem_dofs])
     ref_e = np.einsum("eq,eqi,eqi->e", b["scale"], dens[..., None] * gx, wg)
-    got_e = goal.derivative_element_values(V, u, w)
+    got_e = goal.derivative_element_values(u, w)
     assert np.abs(got_e - ref_e).max() <= 1e-12 * np.abs(ref_e).max()
 
 
@@ -187,9 +194,9 @@ def test_final_time_element_localization_sums_to_derivative():
     rng = np.random.default_rng(10)
     u = FeFunction(V, rng.normal(size=V.n_dofs))
     w = rng.normal(size=V.n_dofs)
-    loc = goal.derivative_element_values(V, u, w)
+    loc = goal.derivative_element_values(u, w)
     assert loc.sum() == pytest.approx(
-        goal_derivative(goal, u, FeFunction(V, w)), rel=1e-12)
+        goal.derivative(u, FeFunction(V, w)), rel=1e-12)
     # only elements owning top facets contribute
     top_owned = loc != 0.0
     bc = V.mesh.barycenters()
@@ -225,10 +232,12 @@ def test_final_time_goal_matches_facet_loop(d, degree):
         table[elem] += scale * (rule.weights @ vals)
         np.add.at(g, V.elem_dofs[elem], scale * (rule.weights @ vals))
         loc[elem] += scale * (rule.weights @ (vals @ w[V.elem_dofs[elem]]))
-    assert np.array_equal(goal.element_vectors(V, None), table)
+    # linear: the tables do not depend on the state, so any u on V serves
+    zero = zero_function(V)
+    assert np.array_equal(goal.element_vectors(zero), table)
     g[V.constrained] = 0.0
-    assert np.array_equal(goal.gradient(V, None), g)
-    got = goal.derivative_element_values(V, None, w)
+    assert np.array_equal(goal.gradient(zero), g)
+    got = goal.derivative_element_values(zero, w)
     assert np.abs(got - loc).max() <= 1e-14 * np.abs(loc).max()
 
 
@@ -288,7 +297,7 @@ def test_goal_tables_do_not_keep_their_space_or_mesh_alive():
     final, energy = FinalTimeIntegralGoal(), RegionEnergyGoal(region, 4.0, mesh)
     u = interpolate(V, lambda x: x[:, 0] * x[:, 1])
     for goal in (final, energy):
-        goal.element_vectors(V, u)
+        goal.element_vectors(u)
     space_ref, mesh_ref = weakref.ref(V), weakref.ref(mesh)
     del V, mesh, u
     assert space_ref() is None

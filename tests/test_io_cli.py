@@ -163,7 +163,6 @@ def test_main_usage_error_exit_code():
     ["--preset", "custom", "--goal", "none", "--mode", "dwr"],
     ["--preset", "nonlinear_goal", "--initial-cells", "3"],
     ["--preset", "smooth_convergence", "--theta", "0.3"],
-    ["--preset", "linear_goal", "--precond", "jacobi"],
     ["--seed", "-1"],
     ["--out-csv", "/nonexistent/x.csv"],
 ])
@@ -248,8 +247,30 @@ def test_main_loop_value_error_is_a_solver_failure(monkeypatch, capsys):
 
 
 def test_default_gmres_preconditioner_converges_the_linear_goal_loop():
-    # with --precond jacobi this loop's adjoint GMRES stops at its
+    # with a Jacobi preconditioner this loop's adjoint GMRES stops at its
     # 100-iteration cap and the run exits 1
     from stfem.cli import main
     assert main(["--preset", "linear_goal", "--dim", "1", "--seed", "7",
                  "--solver", "gmres", "--max-dofs", "60"]) == 0
+
+
+def test_unconverged_levels_are_named_on_stderr(monkeypatch, capsys):
+    # one GMRES step per solve: the ILU is near exact on the first levels,
+    # whose solves converge, but not later
+    from stfem import cli, solvers
+    monkeypatch.setattr(solvers, "GMRES_MAX_ITER", 1)
+    loop, results = cli.adaptive_loop, []
+
+    def recording(*args):
+        results.append(loop(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "adaptive_loop", recording)
+    assert cli.main(["--preset", "linear_goal", "--solver", "gmres",
+                     "--max-dofs", "70"]) == 1
+    records = results[0].records
+    failed = [r for r in records if not r.converged]
+    assert failed and len(failed) < len(records)
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: level {r.level} ({r.dofs} dofs) did not converge"
+        for r in failed]

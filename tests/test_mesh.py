@@ -436,6 +436,22 @@ def test_inverted_element_fails_the_volume_check():
         moved.check_conforming()
 
 
+def test_flat_element_is_rejected():
+    # the centre vertex moved onto the bottom face folds two triangles flat;
+    # the |volumes| still sum to one
+    m = build_box_mesh(1, 2)
+    centre = int(np.flatnonzero(np.all(m.vertices == 0.5, axis=1))[0])
+    verts = m.vertices.copy()
+    verts[centre] = [0.5, 0.0]
+    flat = SimplicialMesh(verts, m.elements, m.tags)
+    assert np.count_nonzero(flat.signed_volumes() == 0.0) == 2
+    assert np.abs(flat.signed_volumes()).sum() == pytest.approx(1.0)
+    with pytest.raises(MeshError, match="zero volume"):
+        flat.check_conforming()
+    with pytest.raises(MeshError, match="zero volume"):
+        FeSpace(flat, 1)
+
+
 @pytest.mark.parametrize("step", [lambda m: refine(m, [0]),
                                   lambda m: uniform_refine(m, 1)],
                          ids=["refine", "uniform_refine"])
